@@ -4,7 +4,7 @@ Runs every suite kernel through both flows under a named optimisation
 config and renders the paper-style tables.  Compilation goes through
 :class:`repro.service.CompilationService`, so results are cached
 *persistently* (content-addressed on disk, shared across pytest runs and
-the ``python -m repro.service`` CLI) and the suite can fan out across
+the ``python -m repro run-suite`` CLI) and the suite can fan out across
 worker processes (``REPRO_JOBS=4 pytest benchmarks``).  Each
 ``test_table*/test_fig*`` module regenerates one table or figure of the
 (reconstructed) evaluation; outputs are also written under

@@ -8,7 +8,7 @@ This quantifies what each pass of the paper's contribution is for.
 import pytest
 
 from repro.flows import OptimizationConfig, run_adaptor_flow
-from repro.hls import FrontendError, HLSFrontend, synthesize
+from repro.hls import FrontendError, HLSFrontend
 from repro.workloads import build_kernel
 from repro.workloads.suite import SUITE_SIZES
 

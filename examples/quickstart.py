@@ -11,7 +11,8 @@ Adaptor, and synthesises the adapted module into a csynth-style report.
 import numpy as np
 
 from repro.adaptor import HLSAdaptor
-from repro.hls import HLSFrontend, synthesize
+from repro.backends import create_backend
+from repro.hls import HLSFrontend
 from repro.ir import print_module, run_kernel
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir import print_module as print_mlir
@@ -63,7 +64,7 @@ def main() -> None:
     assert np.allclose(got["C"], want["C"], rtol=1e-4)
 
     # 7. Synthesise with the Vitis-style engine.
-    synth = synthesize(ir_module, device="xc7z020")
+    synth = create_backend("static", device="xc7z020").synthesize(ir_module)
     print()
     print(synth.summary())
 

@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 from ..diagnostics.errors import PipelineConfigError
 from ..hls.device import DEVICES, Device
+from ..hls.engine import synthesize_loop_tree
+from ..hls.frontend import HLSFrontend
 from ..hls.operators import DEFAULT_LIBRARY, OperatorLibrary
 from ..hls.report import SynthReport
 
@@ -82,11 +84,12 @@ class BackendCapabilities:
 class HLSBackend:
     """The engine contract.
 
-    Subclasses set the class-level ``id``/``capabilities``, accept the
-    canonical ``(device, library, strict_frontend)`` construction
-    parameters, and implement :meth:`synthesize`.  Everything else —
-    directive projection for DSE dedup, lint applicability — has
-    vocabulary-driven defaults.
+    Subclasses set the class-level ``id``/``capabilities`` and the
+    ``(lut, ff)`` control constants, and implement the three scheduling
+    hooks below; :meth:`synthesize` runs the shared loop-tree
+    synthesizer (:func:`repro.hls.engine.synthesize_loop_tree`) over
+    them.  Everything else — directive projection for DSE dedup, lint
+    applicability — has vocabulary-driven defaults.
     """
 
     #: Registry key, report field and CLI spelling.  Stable.
@@ -94,6 +97,9 @@ class HLSBackend:
     capabilities: BackendCapabilities = BackendCapabilities(
         scheduling="static", directives=()
     )
+    #: ``(lut, ff)`` control overhead per function and per loop.
+    FUNCTION_CONTROL: Tuple[int, int]
+    LOOP_CONTROL: Tuple[int, int]
 
     def __init__(
         self,
@@ -104,14 +110,28 @@ class HLSBackend:
         self.device = DEVICES[device] if isinstance(device, str) else device
         self.library = library or DEFAULT_LIBRARY
         self.strict_frontend = strict_frontend
+        self.frontend = HLSFrontend(strict=strict_frontend)
 
     # -- the contract -------------------------------------------------------
     def synthesize(self, module, top: Optional[str] = None) -> SynthReport:
-        """Frontend-check ``module`` and produce a synthesis estimate.
+        """Frontend-check ``module`` and produce a synthesis estimate,
+        stamped with :attr:`id` so fingerprints, caches and DSE reports
+        can attribute the numbers."""
+        return synthesize_loop_tree(self, module, top)
 
-        Must stamp ``report.backend`` with :attr:`id` so fingerprints,
-        caches and DSE reports can attribute the numbers.
-        """
+    # -- scheduling hooks ---------------------------------------------------
+    def overlaps_innermost(self, directives) -> bool:
+        """Whether an innermost single-block loop overlaps iterations
+        (and so is handed to :meth:`schedule_innermost`)."""
+        raise NotImplementedError
+
+    def schedule_innermost(self, dfg, carried, directives, eff_trip_min, eff_trip_max):
+        """Schedule an overlapped innermost loop body →
+        :class:`repro.hls.engine.InnermostSchedule`."""
+        raise NotImplementedError
+
+    def block_cost(self, dfg):
+        """``(cycles, area)`` of one straight-line block."""
         raise NotImplementedError
 
     # -- vocabulary-driven defaults -----------------------------------------

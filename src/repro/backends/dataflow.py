@@ -23,35 +23,23 @@ Consequences the reports make visible:
   :class:`~repro.hls.memory.MemoryModel`, same banking, same
   ports-per-bank), so ``partition`` directives matter just as much.
 
-The loop-tree composition (trip ranges, directive decoding, region DAG)
-is shared with the static engine through the module-level helpers in
-:mod:`repro.hls.engine` — backends differ in scheduling, never in how
-they read the IR.
+This module holds only what is dataflow-specific — the token simulator,
+its port ledger and the handshake area model — as the hooks of the
+shared loop-tree synthesizer (:func:`repro.hls.engine.synthesize_loop_tree`):
+backends differ in scheduling, never in how they read the IR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
-from ..hls.binding import AreaEstimate, merge_area
-from ..hls.cdfg import BlockDFG, CarriedDep, build_block_dfg, carried_dependences
-from ..hls.device import Device
-from ..hls.engine import (
-    HLSEngine,
-    find_top_function,
-    loop_directives_for,
-    region_graph,
-    trip_range,
-)
-from ..hls.frontend import HLSFrontend
-from ..hls.memory import PORTS_PER_BANK, MemoryModel
+from ..hls.binding import AreaEstimate
+from ..hls.cdfg import BlockDFG, CarriedDep
+from ..hls.engine import InnermostSchedule
+from ..hls.memory import PORTS_PER_BANK
 from ..hls.modulo import rec_mii, res_mii
-from ..hls.operators import OperatorLibrary
-from ..hls.report import LoopReport, SynthReport
-from ..ir.analysis.cfg import reverse_postorder
-from ..ir.analysis.loops import Loop, LoopInfo
-from ..ir.module import BasicBlock, Module
+from ..ir.metadata import LoopDirectives
 from .base import BackendCapabilities, HLSBackend, register_backend
 
 __all__ = ["DataflowBackend", "TokenSimResult", "simulate_tokens"]
@@ -66,12 +54,6 @@ _FORK_FF = 8
 # Two-slot elastic buffer on every loop back edge (one per carried dep).
 _ELASTIC_LUT = 16
 _ELASTIC_FF = 32
-# Loop entry: mux + iteration-token regeneration, per loop.
-_LOOP_MUX_LUT = 30
-_LOOP_MUX_FF = 40
-# Function-level start/done handshake (cheaper than a central FSM).
-_FUNCTION_CONTROL_LUT = 120
-_FUNCTION_CONTROL_FF = 160
 
 #: Crossing a back-edge elastic buffer costs one cycle.
 _BUFFER_DELAY = 1
@@ -222,14 +204,6 @@ def simulate_tokens(
     )
 
 
-@dataclass
-class _LoopResult:
-    latency_min: int
-    latency_max: int
-    report: LoopReport
-    area: AreaEstimate
-
-
 @register_backend
 class DataflowBackend(HLSBackend):
     """Dynamically scheduled handshake circuits; II emerges from token
@@ -242,229 +216,39 @@ class DataflowBackend(HLSBackend):
         respects_ii=False,
         shares_functional_units=False,
     )
+    # Function-level start/done handshake (cheaper than a central FSM);
+    # per loop, the entry mux plus iteration-token regeneration.
+    FUNCTION_CONTROL = (120, 160)
+    LOOP_CONTROL = (30, 40)
 
-    def __init__(
+    def overlaps_innermost(self, directives: LoopDirectives) -> bool:
+        return True  # iteration overlap is the default here
+
+    def schedule_innermost(
         self,
-        device: Union[str, Device] = "xc7z020",
-        library: Optional[OperatorLibrary] = None,
-        strict_frontend: bool = True,
-    ):
-        super().__init__(
-            device=device, library=library, strict_frontend=strict_frontend
+        dfg: BlockDFG,
+        carried: List[CarriedDep],
+        directives: LoopDirectives,
+        eff_trip_min: int,
+        eff_trip_max: int,
+    ) -> InnermostSchedule:
+        sim = simulate_tokens(dfg, carried, max(eff_trip_max, 1))
+        return InnermostSchedule(
+            iteration_latency=sim.iteration_latency,
+            ii=sim.ii,
+            latency_min=sim.latency(eff_trip_min),
+            latency_max=sim.latency(eff_trip_max),
+            # Diagnostics, not inputs: the port bound and the recurrence
+            # bound the emergent II is squeezed between.
+            res_mii=res_mii(dfg),
+            rec_mii=rec_mii(dfg, carried),
+            area=self._circuit_area(dfg, carried),
         )
-        self.frontend = HLSFrontend(strict=strict_frontend)
 
-    # -- public API ---------------------------------------------------------
-    def synthesize(self, module: Module, top: Optional[str] = None) -> SynthReport:
-        diag = self.frontend.check(module)
-        fn = find_top_function(module, top)
-        report = SynthReport(
-            function=fn.name,
-            flow=module.source_flow or "unknown",
-            device=self.device,
-            backend=self.id,
-            frontend_warnings=list(diag.warnings),
-            dropped_directives=diag.dropped_directives,
-        )
-        memory = MemoryModel(fn)
-        loop_info = LoopInfo(fn)
-
-        loop_results: Dict[int, _LoopResult] = {}
-        loop_counter = [0]
-        ignored_static = [0]
-        areas: List[AreaEstimate] = []
-
-        def process_loop(loop: Loop, depth: int) -> _LoopResult:
-            for child in loop.children:
-                if id(child.header) not in loop_results:
-                    loop_results[id(child.header)] = process_loop(child, depth + 1)
-            result = self._schedule_loop(
-                loop, depth, memory, loop_info, loop_results,
-                loop_counter, ignored_static,
-            )
-            loop_results[id(loop.header)] = result
-            areas.append(result.area)
-            return result
-
-        for loop in loop_info.top_level:
-            process_loop(loop, 1)
-
-        lat_min, lat_max, top_area = self._compose_region(
-            [b for b in reverse_postorder(fn) if loop_info.loop_for(b) is None],
-            loop_info.top_level,
-            loop_results,
-            memory,
-        )
-        areas.append(top_area)
-
-        report.latency_min = lat_min
-        report.latency_max = lat_max
-        total_area = merge_area(*areas)
-        total_area.lut += _FUNCTION_CONTROL_LUT + _LOOP_MUX_LUT * len(
-            loop_info.all_loops()
-        )
-        total_area.ff += _FUNCTION_CONTROL_FF + _LOOP_MUX_FF * len(
-            loop_info.all_loops()
-        )
-        total_area.bram_18k += memory.total_bram18()
-        report.resources = total_area.as_dict()
-        report.fu_instances = total_area.fu_instances
-        if ignored_static[0]:
-            report.frontend_warnings.append(
-                f"{ignored_static[0]} static-scheduling directive(s) "
-                f"(pipeline/II) ignored: dataflow II is emergent"
-            )
-        order = {id(b): i for i, b in enumerate(fn.blocks)}
-        report.loops = [
-            loop_results[id(l.header)].report
-            for l in sorted(loop_info.all_loops(), key=lambda l: order[id(l.header)])
-        ]
-        return report
-
-    # -- loop handling ------------------------------------------------------
-    def _schedule_loop(
-        self,
-        loop: Loop,
-        depth: int,
-        memory: MemoryModel,
-        loop_info: LoopInfo,
-        loop_results: Dict[int, _LoopResult],
-        counter: List[int],
-        ignored_static: List[int],
-    ) -> _LoopResult:
-        counter[0] += 1
-        name = f"L{counter[0]}_{loop.header.name}"
-        directives = loop_directives_for(loop)
-        if directives.pipeline:
-            ignored_static[0] += 1
-        trip_min, trip_max = trip_range(loop, loop_info)
-
-        own_blocks = [
-            b
-            for b in loop.blocks
-            if loop_info.loop_for(b) is loop and b is not loop.header
-        ]
-        counted = loop.counted_form()
-        iv = counted.indvar if counted else None
-
-        unroll = 1
-        if directives.unroll_full and trip_min == trip_max:
-            unroll = max(trip_max, 1)
-        elif directives.unroll:
-            unroll = max(1, directives.unroll)
-        unroll = min(unroll, max(trip_max, 1))
-
-        innermost = not loop.children and len(own_blocks) == 1
-
-        if innermost:
-            body = own_blocks[0]
-            dfg = build_block_dfg(body, self.library, memory, unroll=unroll)
-            carried = carried_dependences(dfg, iv, loop)
-            eff_trip_min = -(-trip_min // unroll) if trip_min else 0
-            eff_trip_max = -(-trip_max // unroll) if trip_max else 0
-            sim = simulate_tokens(dfg, carried, max(eff_trip_max, 1))
-            lat_min = sim.latency(eff_trip_min)
-            lat_max = sim.latency(eff_trip_max)
-            area = self._circuit_area(dfg, carried)
-            loop_report = LoopReport(
-                name=name,
-                depth=depth,
-                trip_count_min=eff_trip_min,
-                trip_count_max=eff_trip_max,
-                iteration_latency=sim.iteration_latency,
-                ii=sim.ii,
-                latency_min=lat_min,
-                latency_max=lat_max,
-                pipelined=True,  # iteration overlap is the default here
-                unroll_factor=unroll,
-                # Diagnostics, not inputs: the port bound and the
-                # recurrence bound the emergent II is squeezed between.
-                res_mii=res_mii(dfg),
-                rec_mii=rec_mii(dfg, carried),
-            )
-            return _LoopResult(lat_min, lat_max, loop_report, area)
-
-        # Outer loop: iterations stay sequential (the circuit re-enters
-        # the region), body composed as a DAG of units.
-        il_min, il_max, area = self._compose_region(
-            own_blocks, loop.children, loop_results, memory, unroll=unroll
-        )
-        il_min = max(il_min, 1)
-        il_max = max(il_max, 1)
-        eff_trip_min = -(-trip_min // unroll) if unroll > 1 else trip_min
-        eff_trip_max = -(-trip_max // unroll) if unroll > 1 else trip_max
-        lat_min = eff_trip_min * il_min + 2
-        lat_max = eff_trip_max * il_max + 2
-        loop_report = LoopReport(
-            name=name,
-            depth=depth,
-            trip_count_min=eff_trip_min,
-            trip_count_max=eff_trip_max,
-            iteration_latency=il_max,
-            ii=None,
-            latency_min=lat_min,
-            latency_max=lat_max,
-            pipelined=False,
-            unroll_factor=unroll,
-        )
-        return _LoopResult(lat_min, lat_max, loop_report, area)
-
-    # -- region composition -------------------------------------------------
-    def _compose_region(
-        self,
-        blocks: List[BasicBlock],
-        child_loops: List[Loop],
-        loop_results: Dict[int, _LoopResult],
-        memory: MemoryModel,
-        unroll: int = 1,
-    ) -> Tuple[int, int, AreaEstimate]:
-        """Longest path through the shared region DAG with dataflow
-        weights: straight-line blocks cost their token critical path."""
-        units, succs = region_graph(blocks, child_loops)
-
-        weights_min: Dict[int, int] = {}
-        weights_max: Dict[int, int] = {}
-        areas: List[AreaEstimate] = []
-        for key, unit in units.items():
-            if isinstance(unit, Loop):
-                result = loop_results[id(unit.header)]
-                serial = 1
-                if unroll > 1:
-                    serial = HLSEngine._unroll_serialization(unit, memory, unroll)
-                    parallel = -(-unroll // serial)
-                    if parallel > 1:
-                        areas.append(
-                            _replicated_circuit(result.area, parallel - 1)
-                        )
-                weights_min[key] = result.latency_min * serial
-                weights_max[key] = result.latency_max * serial
-            else:
-                dfg = build_block_dfg(unit, self.library, memory, unroll=unroll)
-                if dfg.nodes:
-                    sim = simulate_tokens(dfg, [], trips=1)
-                    weights_min[key] = weights_max[key] = sim.iteration_latency
-                    areas.append(self._circuit_area(dfg, []))
-                else:
-                    weights_min[key] = weights_max[key] = 1
-
-        memo: Dict[int, int] = {}
-
-        def longest(key: int, weights: Dict[int, int]) -> int:
-            if key in memo:
-                return memo[key]
-            memo[key] = weights[key]  # guard against (unexpected) cycles
-            best = 0
-            for nxt in succs[key]:
-                best = max(best, longest(nxt, weights))
-            memo[key] = weights[key] + best
-            return memo[key]
-
-        roots = _roots(units, succs)
-        lat_min = max((longest(r, weights_min) for r in roots), default=1)
-        memo.clear()
-        lat_max = max((longest(r, weights_max) for r in roots), default=1)
-        merged = merge_area(*areas) if areas else AreaEstimate()
-        return lat_min, lat_max, merged
+    def block_cost(self, dfg: BlockDFG) -> Tuple[int, AreaEstimate]:
+        """A straight-line block costs its token critical path."""
+        sim = simulate_tokens(dfg, [], trips=1)
+        return sim.iteration_latency, self._circuit_area(dfg, [])
 
     # -- area ---------------------------------------------------------------
     def _circuit_area(
@@ -491,24 +275,3 @@ class DataflowBackend(HLSBackend):
         area.lut += _ELASTIC_LUT * len(carried)
         area.ff += _ELASTIC_FF * len(carried)
         return area
-
-
-def _roots(units: Dict[int, object], succs: Dict[int, List[int]]) -> List[int]:
-    has_pred: set = set()
-    for targets in succs.values():
-        has_pred.update(targets)
-    roots = [key for key in units if key not in has_pred]
-    return roots or list(units)
-
-
-def _replicated_circuit(area: AreaEstimate, copies: int) -> AreaEstimate:
-    """Extra parallel copies of a circuit region (BRAM stays shared)."""
-    return AreaEstimate(
-        lut=area.lut * copies,
-        ff=area.ff * copies,
-        dsp=area.dsp * copies,
-        bram_18k=0,
-        fu_instances={
-            cls: n * (copies + 1) for cls, n in area.fu_instances.items()
-        },
-    )

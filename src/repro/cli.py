@@ -1,6 +1,6 @@
 """``python -m repro`` — the single front door to every tool.
 
-Subcommands (each was once its own ``python -m`` entry point)::
+Subcommands::
 
     run-suite    compile the benchmark suite (parallel, cached;
                  --daemon ADDR routes through a running daemon)
@@ -14,9 +14,6 @@ Subcommands (each was once its own ``python -m`` entry point)::
     validate     schema-check an exported trace file
     dse          design-space exploration (Pareto frontier per kernel)
     bench        paper-style optimised-vs-baseline latency table
-
-The per-package spellings (``python -m repro.service`` etc.) still work
-but are deprecated shims that print a pointer here.
 
 Exit status: ``0`` on success, ``1`` for failing verdicts (mismatch,
 lint findings, empty frontier), ``2`` for usage/configuration errors.

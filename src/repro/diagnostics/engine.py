@@ -44,7 +44,9 @@ ERROR_CODES: Dict[str, str] = {
     "REPRO-DEGRADE-001": "non-essential pass disabled after failure (recovered)",
     "REPRO-CACHE-001": "corrupted compilation-cache entry (degraded to recompile)",
     "REPRO-CACHE-002": "compilation-cache entry version mismatch (treated as miss)",
-    "REPRO-CACHE-003": "legacy flat cache layout migrated to sharded segments",
+    # Retired (codes are append-only): noted the flat->sharded cache
+    # migration, which no longer exists.
+    "REPRO-CACHE-003": "retired: legacy flat cache layout migrated to sharded segments",
     "REPRO-SVC-001": "compilation-service worker failure",
     "REPRO-SVC-002": "service degraded to serial in-process execution (circuit breaker open)",
     "REPRO-SVC-003": "service worker exceeded its per-request deadline",

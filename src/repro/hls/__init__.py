@@ -7,15 +7,10 @@ the adaptor flow or from the HLS-C++ flow — and produces the quantities the
 paper reports from Xilinx Vitis: latency in cycles and LUT/FF/DSP/BRAM
 usage.
 
-.. deprecated::
-    Constructing engines through ``repro.hls.HLSEngine`` (or calling
-    ``repro.hls.synthesize``) is deprecated in favour of the backend
-    registry: ``repro.backends.create_backend("static")``.  The old names
-    keep working for one release with a :class:`DeprecationWarning`; the
-    scheduling machinery itself lives on in :mod:`repro.hls.engine`.
+Engines are constructed through the backend registry
+(``repro.backends.create_backend("static")``); :mod:`repro.hls.engine`
+holds the loop-tree synthesizer they share.
 """
-
-import warnings
 
 from .device import Device, DEVICES
 from .frontend import FrontendError, HLSFrontend, FrontendDiagnostics
@@ -31,26 +26,7 @@ __all__ = [
     "OperatorLibrary",
     "OpSpec",
     "DEFAULT_LIBRARY",
-    "HLSEngine",
-    "synthesize",
     "LoopReport",
     "SynthReport",
 ]
 
-# One release of grace for the pre-registry spellings (PEP 562).
-_DEPRECATED = {"HLSEngine", "synthesize"}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.hls.{name} is deprecated; use "
-            f'repro.backends.create_backend("static") (or import from '
-            f"repro.hls.engine for the raw scheduler)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,14 +1,30 @@
-"""The HLS engine: orchestrates frontend checking, loop-tree scheduling,
-binding and report generation — the model of Vitis csynth.
+"""The loop-tree synthesizer every HLS backend shares.
 
-Latency model (consistent with Vitis's csynth reporting):
+:func:`synthesize_loop_tree` owns everything about turning a frontend-
+checked function into a csynth-style report that does not depend on how
+a backend schedules: the top-function lookup, the memory model, the
+post-order loop walk with ``L{n}_{header}`` naming, unroll decoding,
+region composition and the function-level totals.  A backend (see
+:class:`repro.backends.HLSBackend`) supplies only the hooks where
+scheduling models differ:
 
-* straight-line block: list-scheduled length;
-* sequential loop: ``trip * IL + 2`` (iteration latency + enter/exit);
-* pipelined loop: ``IL + (trip - 1) * II + 1``;
+* ``overlaps_innermost(directives)`` — whether an innermost single-block
+  loop overlaps its iterations;
+* ``schedule_innermost(dfg, carried, directives, trip_min, trip_max)`` —
+  iteration latency, II, loop latency range and area of such a loop;
+* ``block_cost(dfg)`` — ``(cycles, area)`` of one straight-line block;
+* ``FUNCTION_CONTROL`` / ``LOOP_CONTROL`` — ``(lut, ff)`` control
+  overhead per function and per loop.
+
+Latency model shared by every backend:
+
+* straight-line block: the backend's ``block_cost``;
+* sequential loop: ``trip * IL + 2`` (iteration latency + enter/exit),
+  with IL the longest path through the body's region DAG;
 * directive-driven unrolling: virtual replication of the body DFG by the
   factor with trip divided (structural unrolling at the MLIR level gives
-  the exact equivalent — the ablation compares both);
+  the exact equivalent — the ablation compares both); unrolled child
+  loops time-share as far as array banking forces them to;
 * function: longest path through the top-level CFG DAG with loops
   collapsed to supernodes.
 
@@ -22,40 +38,37 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.analysis.cfg import reverse_postorder
 from ..ir.analysis.loops import Loop, LoopInfo
-from ..ir.instructions import Branch, Instruction, Phi
+from ..ir.instructions import Phi
 from ..ir.metadata import LoopDirectives, decode_loop_directives
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import ConstantInt
 from .affine_summary import summarize_index
-from .binding import AreaEstimate, bind_block, merge_area
+from .binding import AreaEstimate, merge_area
 from .cdfg import build_block_dfg, carried_dependences
-from .device import DEVICES, Device
-from .frontend import FrontendDiagnostics, HLSFrontend
 from .memory import MemoryModel
-from .modulo import modulo_schedule
-from .operators import DEFAULT_LIBRARY, OperatorLibrary
 from .report import LoopReport, SynthReport
-from .schedule import list_schedule
 
 __all__ = [
-    "HLSEngine",
-    "synthesize",
+    "InnermostSchedule",
+    "synthesize_loop_tree",
     "find_top_function",
     "loop_directives_for",
     "trip_range",
     "region_graph",
 ]
 
-_LOOP_CONTROL_LUT = 50
-_LOOP_CONTROL_FF = 70
-_FUNCTION_CONTROL_LUT = 200
-_FUNCTION_CONTROL_FF = 300
-# Pipelining is not free: the controller (valid-bit shift registers, the
-# II counter, flush logic) costs LUTs, and every overlapped stage keeps its
-# cross-stage values in registers.  Charged per pipelined loop; stage count
-# is ceil(IL / II), the steady-state overlap depth.
-_PIPELINE_CONTROL_LUT = 40
-_PIPELINE_STAGE_FF = 48
+
+@dataclass
+class InnermostSchedule:
+    """A backend's schedule of one overlapped innermost loop body."""
+
+    iteration_latency: int
+    ii: int
+    latency_min: int
+    latency_max: int
+    res_mii: int
+    rec_mii: int
+    area: AreaEstimate
 
 
 @dataclass
@@ -66,10 +79,10 @@ class _LoopResult:
     area: AreaEstimate
 
 
-# -- shared loop/region analyses ---------------------------------------------
-# Module-level so every backend (static here, dataflow in repro.backends)
-# reads directives, trip ranges and region structure identically — the
-# numbers may differ per backend, the *interpretation* of the IR may not.
+# -- loop/region analyses ----------------------------------------------------
+# Every backend reads directives, trip ranges and region structure through
+# these — the numbers may differ per backend, the *interpretation* of the
+# IR may not.
 
 
 def find_top_function(module: Module, top: Optional[str] = None) -> Function:
@@ -205,111 +218,93 @@ def region_graph(
     return units, succs
 
 
-class HLSEngine:
-    def __init__(
-        self,
-        device: str = "xc7z020",
-        library: Optional[OperatorLibrary] = None,
-        strict_frontend: bool = True,
-    ):
-        self.device = DEVICES[device] if isinstance(device, str) else device
-        self.library = library or DEFAULT_LIBRARY
-        self.frontend = HLSFrontend(strict=strict_frontend)
+# -- the shared synthesizer --------------------------------------------------
 
-    # -- public API ---------------------------------------------------------------
-    def synthesize(self, module: Module, top: Optional[str] = None) -> SynthReport:
-        diag = self.frontend.check(module)
-        fn = self._top_function(module, top)
-        report = SynthReport(
-            function=fn.name,
-            flow=module.source_flow or "unknown",
-            device=self.device,
-            frontend_warnings=list(diag.warnings),
-            dropped_directives=diag.dropped_directives,
+
+def synthesize_loop_tree(backend, module: Module, top: Optional[str] = None) -> SynthReport:
+    """Frontend-check ``module`` and synthesize its top function with the
+    scheduling hooks of ``backend`` (an :class:`repro.backends.HLSBackend`)."""
+    diag = backend.frontend.check(module)
+    fn = find_top_function(module, top)
+    report = SynthReport(
+        function=fn.name,
+        flow=module.source_flow or "unknown",
+        device=backend.device,
+        backend=backend.id,
+        frontend_warnings=list(diag.warnings),
+        dropped_directives=diag.dropped_directives,
+    )
+    tree = _LoopTree(backend, fn)
+    loop_info = tree.loop_info
+    for loop in loop_info.top_level:
+        tree.process_loop(loop, 1)
+
+    # Top-level (non-loop) blocks.
+    lat_min, lat_max, top_area = tree.compose_region(
+        [b for b in reverse_postorder(fn) if loop_info.loop_for(b) is None],
+        loop_info.top_level,
+    )
+    tree.areas.append(top_area)
+
+    report.latency_min = lat_min
+    report.latency_max = lat_max
+    total_area = merge_area(*tree.areas)
+    loops = loop_info.all_loops()
+    function_lut, function_ff = backend.FUNCTION_CONTROL
+    loop_lut, loop_ff = backend.LOOP_CONTROL
+    total_area.lut += function_lut + loop_lut * len(loops)
+    total_area.ff += function_ff + loop_ff * len(loops)
+    total_area.bram_18k += tree.memory.total_bram18()
+    report.resources = total_area.as_dict()
+    report.fu_instances = total_area.fu_instances
+    if tree.ignored_pipeline:
+        report.frontend_warnings.append(
+            f"{tree.ignored_pipeline} static-scheduling directive(s) "
+            f"(pipeline/II) ignored: {backend.id} II is emergent"
         )
-        memory = MemoryModel(fn)
-        loop_info = LoopInfo(fn)
+    # Loop table in source order (by header position).
+    order = {id(b): i for i, b in enumerate(fn.blocks)}
+    report.loops = [
+        tree.results[id(l.header)].report
+        for l in sorted(loops, key=lambda l: order[id(l.header)])
+    ]
+    return report
 
-        loop_results: Dict[int, _LoopResult] = {}
-        loop_counter = [0]
-        areas: List[AreaEstimate] = []
 
-        def process_loop(loop: Loop, depth: int) -> _LoopResult:
-            for child in loop.children:
-                if id(child.header) not in loop_results:
-                    loop_results[id(child.header)] = process_loop(child, depth + 1)
-            result = self._schedule_loop(
-                fn, loop, depth, memory, loop_info, loop_results, loop_counter
-            )
-            loop_results[id(loop.header)] = result
-            areas.append(result.area)
-            return result
+class _LoopTree:
+    """One post-order walk over a function's loop tree."""
 
-        for loop in loop_info.top_level:
-            process_loop(loop, 1)
+    def __init__(self, backend, fn: Function):
+        self.backend = backend
+        self.memory = MemoryModel(fn)
+        self.loop_info = LoopInfo(fn)
+        self.results: Dict[int, _LoopResult] = {}
+        self.areas: List[AreaEstimate] = []
+        self.ignored_pipeline = 0
+        self._counter = 0
 
-        # Top-level (non-loop) blocks.
-        lat_min, lat_max, top_area = self._compose_region(
-            fn,
-            [b for b in reverse_postorder(fn) if loop_info.loop_for(b) is None],
-            loop_info.top_level,
-            loop_results,
-            memory,
-        )
-        areas.append(top_area)
+    def process_loop(self, loop: Loop, depth: int) -> None:
+        for child in loop.children:
+            if id(child.header) not in self.results:
+                self.process_loop(child, depth + 1)
+        result = self._schedule_loop(loop, depth)
+        self.results[id(loop.header)] = result
+        self.areas.append(result.area)
 
-        report.latency_min = lat_min
-        report.latency_max = lat_max
-        total_area = merge_area(*areas)
-        total_area.lut += _FUNCTION_CONTROL_LUT + _LOOP_CONTROL_LUT * len(
-            loop_info.all_loops()
-        )
-        total_area.ff += _FUNCTION_CONTROL_FF + _LOOP_CONTROL_FF * len(
-            loop_info.all_loops()
-        )
-        total_area.bram_18k += memory.total_bram18()
-        report.resources = total_area.as_dict()
-        report.fu_instances = total_area.fu_instances
-        # Loop table in source order (by header position).
-        order = {id(b): i for i, b in enumerate(fn.blocks)}
-        report.loops = [
-            loop_results[id(l.header)].report
-            for l in sorted(loop_info.all_loops(), key=lambda l: order[id(l.header)])
-        ]
-        return report
-
-    def _top_function(self, module: Module, top: Optional[str]) -> Function:
-        return find_top_function(module, top)
-
-    # -- loop scheduling --------------------------------------------------------------
-    def _loop_directives(self, loop: Loop) -> LoopDirectives:
-        return loop_directives_for(loop)
-
-    def _trip_range(self, loop: Loop, loop_info: LoopInfo) -> Tuple[int, int]:
-        return trip_range(loop, loop_info)
-
-    def _schedule_loop(
-        self,
-        fn: Function,
-        loop: Loop,
-        depth: int,
-        memory: MemoryModel,
-        loop_info: LoopInfo,
-        loop_results: Dict[int, "_LoopResult"],
-        counter: List[int],
-    ) -> _LoopResult:
-        counter[0] += 1
-        name = f"L{counter[0]}_{loop.header.name}"
-        directives = self._loop_directives(loop)
-        trip_min, trip_max = self._trip_range(loop, loop_info)
+    def _schedule_loop(self, loop: Loop, depth: int) -> _LoopResult:
+        backend = self.backend
+        self._counter += 1
+        name = f"L{self._counter}_{loop.header.name}"
+        directives = loop_directives_for(loop)
+        if directives.pipeline and "pipeline" not in backend.capabilities.directives:
+            self.ignored_pipeline += 1
+        trip_min, trip_max = trip_range(loop, self.loop_info)
 
         own_blocks = [
             b
             for b in loop.blocks
-            if loop_info.loop_for(b) is loop and b is not loop.header
+            if self.loop_info.loop_for(b) is loop and b is not loop.header
         ]
-        counted = loop.counted_form()
-        iv = counted.indvar if counted else None
 
         unroll = 1
         if directives.unroll_full and trip_min == trip_max:
@@ -317,48 +312,48 @@ class HLSEngine:
         elif directives.unroll:
             unroll = max(1, directives.unroll)
         unroll = min(unroll, max(trip_max, 1))
+        eff_trip_min = -(-trip_min // unroll)
+        eff_trip_max = -(-trip_max // unroll)
 
-        pipelined = directives.pipeline and not loop.children and len(own_blocks) == 1
-
-        if pipelined:
-            body = own_blocks[0]
-            dfg = build_block_dfg(body, self.library, memory, unroll=unroll)
-            carried = carried_dependences(dfg, iv, loop)
-            ms = modulo_schedule(dfg, carried, target_ii=directives.ii)
-            il = max(ms.length, 1)
-            ii = ms.ii
-            eff_trip_min = -(-trip_min // unroll)
-            eff_trip_max = -(-trip_max // unroll)
-            lat_min = il + max(eff_trip_min - 1, 0) * ii + 1 if eff_trip_min else 1
-            lat_max = il + max(eff_trip_max - 1, 0) * ii + 1 if eff_trip_max else 1
-            area = bind_block(dfg, ms.starts, self.library, ii=ii)
-            stages = max(1, -(-il // max(ii, 1)))
-            area.lut += _PIPELINE_CONTROL_LUT
-            area.ff += _PIPELINE_STAGE_FF * stages
+        if (
+            not loop.children
+            and len(own_blocks) == 1
+            and backend.overlaps_innermost(directives)
+        ):
+            dfg = build_block_dfg(
+                own_blocks[0], backend.library, self.memory, unroll=unroll
+            )
+            counted = loop.counted_form()
+            carried = carried_dependences(
+                dfg, counted.indvar if counted else None, loop
+            )
+            sched = backend.schedule_innermost(
+                dfg, carried, directives, eff_trip_min, eff_trip_max
+            )
             loop_report = LoopReport(
                 name=name,
                 depth=depth,
                 trip_count_min=eff_trip_min,
                 trip_count_max=eff_trip_max,
-                iteration_latency=il,
-                ii=ii,
-                latency_min=lat_min,
-                latency_max=lat_max,
+                iteration_latency=sched.iteration_latency,
+                ii=sched.ii,
+                latency_min=sched.latency_min,
+                latency_max=sched.latency_max,
                 pipelined=True,
                 unroll_factor=unroll,
-                res_mii=ms.res_mii,
-                rec_mii=ms.rec_mii,
+                res_mii=sched.res_mii,
+                rec_mii=sched.rec_mii,
             )
-            return _LoopResult(lat_min, lat_max, loop_report, area)
+            return _LoopResult(
+                sched.latency_min, sched.latency_max, loop_report, sched.area
+            )
 
         # Sequential loop: compose body blocks + child loops as a DAG.
-        il_min, il_max, area = self._compose_region(
-            fn, own_blocks, loop.children, loop_results, memory, unroll=unroll
+        il_min, il_max, area = self.compose_region(
+            own_blocks, loop.children, unroll=unroll
         )
         il_min = max(il_min, 1)
         il_max = max(il_max, 1)
-        eff_trip_min = -(-trip_min // unroll) if unroll > 1 else trip_min
-        eff_trip_max = -(-trip_max // unroll) if unroll > 1 else trip_max
         lat_min = eff_trip_min * il_min + 2
         lat_max = eff_trip_max * il_max + 2
         loop_report = LoopReport(
@@ -375,14 +370,10 @@ class HLSEngine:
         )
         return _LoopResult(lat_min, lat_max, loop_report, area)
 
-    # -- region composition ---------------------------------------------------------
-    def _compose_region(
+    def compose_region(
         self,
-        fn: Function,
         blocks: List[BasicBlock],
         child_loops: List[Loop],
-        loop_results: Dict[int, "_LoopResult"],
-        memory: MemoryModel,
         unroll: int = 1,
     ) -> Tuple[int, int, AreaEstimate]:
         """Longest path (min & max variants) through blocks + collapsed
@@ -394,80 +385,80 @@ class HLSEngine:
         areas: List[AreaEstimate] = []
         for key, unit in units.items():
             if isinstance(unit, Loop):
-                result = loop_results[id(unit.header)]
+                result = self.results[id(unit.header)]
                 serial = 1
                 if unroll > 1:
                     # Unrolling an outer loop replicates each child loop.
                     # Copies run in parallel only as far as array banking
                     # allows: each concurrent copy needs its own bank group,
                     # so ceil(unroll / banks) copies time-share one instance.
-                    serial = self._unroll_serialization(unit, memory, unroll)
+                    serial = _unroll_serialization(unit, self.memory, unroll)
                     parallel = -(-unroll // serial)
                     if parallel > 1:
                         areas.append(_replicated_area(result.area, parallel - 1))
                 weights_min[key] = result.latency_min * serial
                 weights_max[key] = result.latency_max * serial
             else:
-                dfg = build_block_dfg(unit, self.library, memory, unroll=unroll)
+                dfg = build_block_dfg(
+                    unit, self.backend.library, self.memory, unroll=unroll
+                )
                 if dfg.nodes:
-                    schedule = list_schedule(dfg)
-                    weights_min[key] = weights_max[key] = schedule.length
-                    areas.append(bind_block(dfg, schedule.starts, self.library))
+                    cycles, area = self.backend.block_cost(dfg)
+                    weights_min[key] = weights_max[key] = cycles
+                    areas.append(area)
                 else:
                     weights_min[key] = weights_max[key] = 1
 
-        # Longest path over the DAG (memoised DFS).
-        memo_min: Dict[int, int] = {}
-        memo_max: Dict[int, int] = {}
+        memo: Dict[int, int] = {}
 
-        def longest(key: int, memo: Dict[int, int], weights: Dict[int, int]) -> int:
+        def longest(key: int, weights: Dict[int, int]) -> int:
             if key in memo:
                 return memo[key]
             memo[key] = weights[key]  # guard against (unexpected) cycles
             best = 0
             for nxt in succs[key]:
-                best = max(best, longest(nxt, memo, weights))
+                best = max(best, longest(nxt, weights))
             memo[key] = weights[key] + best
             return memo[key]
 
-        roots = self._region_roots(units, succs)
-        lat_min = max((longest(r, memo_min, weights_min) for r in roots), default=1)
-        memo_max.clear()
-        lat_max = max((longest(r, memo_max, weights_max) for r in roots), default=1)
+        roots = _roots(units, succs)
+        lat_min = max((longest(r, weights_min) for r in roots), default=1)
+        memo.clear()
+        lat_max = max((longest(r, weights_max) for r in roots), default=1)
         merged = merge_area(*areas) if areas else AreaEstimate()
         return lat_min, lat_max, merged
 
-    @staticmethod
-    def _unroll_serialization(loop: Loop, memory: MemoryModel, unroll: int) -> int:
-        """How many of ``unroll`` child-loop copies must time-share.
 
-        The limiting buffer is the one with the fewest banks among the
-        arrays the child touches; cyclic partitioning at factor *f* supplies
-        *f* concurrent bank groups, so ceil(unroll / f) copies serialise.
-        A child that touches no arrays replicates freely.
-        """
-        banks: Optional[int] = None
-        for block in loop.blocks:
-            for inst in block.instructions:
-                site = memory.site_for(inst)
-                if site is None:
-                    continue
-                banks = (
-                    site.buffer.banks
-                    if banks is None
-                    else min(banks, site.buffer.banks)
-                )
-        if banks is None:
-            return 1
-        return max(1, -(-unroll // max(1, banks)))
+def _roots(units: Dict[int, object], succs: Dict[int, List[int]]) -> List[int]:
+    has_pred: set = set()
+    for targets in succs.values():
+        has_pred.update(targets)
+    roots = [key for key in units if key not in has_pred]
+    return roots or list(units)
 
-    @staticmethod
-    def _region_roots(units: Dict[int, object], succs: Dict[int, List[int]]) -> List[int]:
-        has_pred: set = set()
-        for key, targets in succs.items():
-            has_pred.update(targets)
-        roots = [key for key in units if key not in has_pred]
-        return roots or list(units)
+
+def _unroll_serialization(loop: Loop, memory: MemoryModel, unroll: int) -> int:
+    """How many of ``unroll`` child-loop copies must time-share.
+
+    The limiting buffer is the one with the fewest banks among the
+    arrays the child touches; cyclic partitioning at factor *f* supplies
+    *f* concurrent bank groups, so ceil(unroll / f) copies serialise.
+    A child that touches no arrays replicates freely.
+    """
+    banks: Optional[int] = None
+    for block in loop.blocks:
+        for inst in block.instructions:
+            site = memory.site_for(inst)
+            if site is None:
+                continue
+            banks = (
+                site.buffer.banks
+                if banks is None
+                else min(banks, site.buffer.banks)
+            )
+    if banks is None:
+        return 1
+    return max(1, -(-unroll // max(1, banks)))
 
 
 def _replicated_area(area: AreaEstimate, copies: int) -> AreaEstimate:
@@ -483,15 +474,3 @@ def _replicated_area(area: AreaEstimate, copies: int) -> AreaEstimate:
         bram_18k=0,
         fu_instances={cls: n * (copies + 1) for cls, n in area.fu_instances.items()},
     )
-
-
-def synthesize(
-    module: Module,
-    top: Optional[str] = None,
-    device: str = "xc7z020",
-    strict_frontend: bool = True,
-    library: Optional[OperatorLibrary] = None,
-) -> SynthReport:
-    """One-call synthesis estimate (frontend check + schedule + bind)."""
-    engine = HLSEngine(device=device, library=library, strict_frontend=strict_frontend)
-    return engine.synthesize(module, top)

@@ -13,7 +13,7 @@ over :class:`repro.ir.Module`:
 
 :func:`run_lint` produces a :class:`LintReport`; the adaptor pipeline
 runs it as a post-adaptor gate (``HLSAdaptor(lint=...)``), golden updates
-refuse dirty snapshots, and ``python -m repro.lint`` exposes it on the
+refuse dirty snapshots, and ``python -m repro lint`` exposes it on the
 command line.  Every registered rule must ship a triggering and a clean
 conformance fixture — ``tests/lint`` enforces that with a meta-test.
 """

@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` — lint modules against the HLS contract.
+"""``python -m repro lint`` — lint modules against the HLS contract.
 
 Subcommands::
 
@@ -91,7 +91,7 @@ def _add_subcommands(sub) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
+        prog="python -m repro lint",
         description="Static HLS-compatibility linter for adapted LLVM IR.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +190,7 @@ def render_rules_markdown() -> str:
     lines = [
         "# HLS-compatibility lint rules",
         "",
-        "Generated by `python -m repro.lint rules`; do not edit by hand.",
+        "Generated by `python -m repro lint rules`; do not edit by hand.",
         "Codes are stable and append-only.  `error` rules mirror what the",
         "strict HLS frontend rejects outright; `warning` rules encode",
         "conventions that cost directives or analysis precision.  The",

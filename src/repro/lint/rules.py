@@ -11,7 +11,7 @@ read" lives here as one individually-addressable :class:`LintRule`:
   outright, ``warning`` for shapes it tolerates but that cost directives,
   memory-analysis precision or interface quality;
 * a machine-readable **description** (rendered into ``docs/lint-rules.md``
-  by ``python -m repro.lint rules``);
+  by ``python -m repro lint rules``);
 * a **matcher** over :class:`repro.ir.Module` that yields findings.
 
 The conformance framework in ``tests/lint/`` enforces that every rule

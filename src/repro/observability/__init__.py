@@ -12,7 +12,7 @@ The subsystem has three pieces, all ambient and zero-cost-when-disabled:
   and a schema check (:func:`validate_chrome_trace`) CI runs on every
   exported trace.
 
-``python -m repro.observability trace|stats|diff|validate|hot`` drives it
+``python -m repro trace|stats|diff|validate|hot`` drives it
 from a shell.
 """
 

@@ -1,5 +1,5 @@
-"""``python -m repro.observability`` — inspect where compile time and IR
-churn go.
+"""The observability subcommands of ``python -m repro`` — inspect where
+compile time and IR churn go.
 
 Subcommands::
 
@@ -116,7 +116,7 @@ def register_subcommands(sub) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.observability",
+        prog="python -m repro",
         description="Tracing and pass-statistics tooling for the flow pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

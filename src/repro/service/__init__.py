@@ -15,12 +15,11 @@ consumers (SEER/Phism-style sweeps, the benchmark harness, CI) need:
   hot in-memory LRU tier over the sharded disk store, in-flight request
   coalescing by fingerprint, and bounded-queue back-pressure
   (``REPRO-SVC-004``);
-* ``python -m repro.service`` — ``run-suite`` / ``serve`` /
-  ``load-test`` / ``cache stats`` / ``cache clear`` CLI.
+* ``python -m repro run-suite`` / ``serve`` / ``load-test`` /
+  ``cache stats`` / ``cache clear`` — the CLI.
 """
 
 from .cache import (
-    MIGRATABLE_FORMATS,
     SHARD_PREFIX_LEN,
     CacheStats,
     CompilationCache,
@@ -60,7 +59,6 @@ __all__ = [
     "CompilationCache",
     "default_cache_dir",
     "SHARD_PREFIX_LEN",
-    "MIGRATABLE_FORMATS",
     "MemoryTier",
     "TieredCompilationCache",
     "CompileDaemon",

@@ -21,13 +21,8 @@ and ``os.replace`` so concurrent workers never observe half-written
 entries; last-writer-wins races are harmless because entries are
 content-addressed (both writers wrote the same comparison).
 
-**Migration.**  Before format 4 the store was a flat ``entries/`` tree.
-Opening a cache whose root still has one triggers a one-time upgrade:
-every valid legacy entry (format 3 — the payload encoding is unchanged,
-only the layout and header moved) is re-homed into its shard segment
-under the new header, corrupt or ancient entries are dropped, and the
-legacy tree is removed.  A ``REPRO-CACHE-003`` note records the count,
-so a warm cache survives the layout change instead of cold-starting.
+Caches from before format 4 kept a flat ``entries/`` tree; nothing reads
+it, so such a root is simply cold.
 """
 
 from __future__ import annotations
@@ -51,19 +46,12 @@ __all__ = [
     "CompilationCache",
     "default_cache_dir",
     "SHARD_PREFIX_LEN",
-    "MIGRATABLE_FORMATS",
 ]
 
 #: Fingerprint-prefix length naming a shard segment: 2 hex chars = 256
 #: segments, keeping per-directory entry counts flat under load.
 SHARD_PREFIX_LEN = 2
 
-#: Legacy entry formats the one-time layout migration can re-home (their
-#: payload pickle encoding matches the current one; older formats had
-#: incompatible payload schemas and are dropped, not migrated).
-MIGRATABLE_FORMATS = (3,)
-
-_LEGACY_DIR = "entries"
 _MANIFEST_NAME = "cache-meta.json"
 #: Bump when the directory layout (not the entry format) changes.
 _LAYOUT_VERSION = 2
@@ -164,8 +152,7 @@ class CompilationCache:
 
     ``engine`` receives a ``REPRO-CACHE-001`` warning whenever a corrupted
     entry is dropped (``REPRO-CACHE-002`` for format-version mismatches —
-    both degrade to a miss) and a ``REPRO-CACHE-003`` note when a legacy
-    flat layout is migrated into shard segments.
+    both degrade to a miss).
     """
 
     ENTRY_SUFFIX = ".entry"
@@ -175,16 +162,11 @@ class CompilationCache:
         self.engine = engine or DiagnosticEngine()
         self.stats = CacheStats()
         self._manifest_written = False
-        self._migrate_legacy_layout()
 
     # -- paths --------------------------------------------------------------
     @property
     def shards_dir(self) -> str:
         return os.path.join(self.root, "shards")
-
-    @property
-    def legacy_entries_dir(self) -> str:
-        return os.path.join(self.root, _LEGACY_DIR)
 
     @property
     def manifest_path(self) -> str:
@@ -273,9 +255,7 @@ class CompilationCache:
         return path
 
     # -- load ---------------------------------------------------------------
-    def _read_raw(self, path: str) -> Tuple[Dict[str, Any], bytes]:
-        """Header dict + raw payload bytes, checksum-verified but not
-        unpickled and with *no* format check (the migration reader)."""
+    def _read_entry(self, path: str) -> Tuple[Dict[str, Any], Any]:
         try:
             with open(path, "rb") as fh:
                 header_line = fh.readline()
@@ -295,10 +275,6 @@ class CompilationCache:
             header.get("payload_sha256") != hashlib.sha256(payload).hexdigest()
         ):
             raise CacheError(f"cache entry {path} failed checksum", path=path)
-        return header, payload
-
-    def _read_entry(self, path: str) -> Tuple[Dict[str, Any], Any]:
-        header, payload = self._read_raw(path)
         if header.get("format") != CACHE_FORMAT_VERSION:
             raise CacheError(
                 f"cache entry {path} has format {header.get('format')!r}, "
@@ -370,91 +346,6 @@ class CompilationCache:
         except CacheError:
             return False
         return True
-
-    # -- legacy-layout migration -------------------------------------------
-    def _iter_legacy_paths(self) -> Iterator[str]:
-        legacy = self.legacy_entries_dir
-        if not os.path.isdir(legacy):
-            return
-        for shard in sorted(os.listdir(legacy)):
-            shard_dir = os.path.join(legacy, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(self.ENTRY_SUFFIX):
-                    yield os.path.join(shard_dir, name)
-
-    def _migrate_legacy_layout(self) -> Dict[str, int]:
-        """One-time flat ``entries/`` → sharded ``shards/`` upgrade.
-
-        Valid entries in a migratable format are rewritten under the
-        current format (the payload bytes are untouched — only the header
-        and location change), so the cache stays warm across the layout
-        bump.  Anything corrupt or in a pre-migratable format is dropped.
-        Runs are idempotent and per-entry atomic, so two processes racing
-        the migration converge on the same sharded tree.
-        """
-        counts = {"migrated": 0, "dropped": 0}
-        if not os.path.isdir(self.legacy_entries_dir):
-            return counts
-        registry = get_statistics()
-        for path in list(self._iter_legacy_paths()):
-            try:
-                header, payload = self._read_raw(path)
-            except CacheError:
-                counts["dropped"] += 1
-                self._drop_legacy(path)
-                continue
-            key = header.get("key")
-            if (
-                header.get("format") not in MIGRATABLE_FORMATS
-                or not isinstance(key, str)
-                or not key
-            ):
-                counts["dropped"] += 1
-                self._drop_legacy(path)
-                continue
-            header["format"] = CACHE_FORMAT_VERSION
-            header["shard"] = self.shard_for(key)
-            try:
-                self._write_entry(self.entry_path(key), header, payload)
-            except OSError:
-                counts["dropped"] += 1
-            else:
-                counts["migrated"] += 1
-            self._drop_legacy(path)
-        self._remove_legacy_tree()
-        self._write_manifest()
-        if counts["migrated"] or counts["dropped"]:
-            registry.bump("cache", "migrated", counts["migrated"])
-            registry.bump("cache", "migration_dropped", counts["dropped"])
-            self.engine.note(
-                "REPRO-CACHE-003",
-                f"migrated {counts['migrated']} cache entr"
-                f"{'y' if counts['migrated'] == 1 else 'ies'} from the legacy "
-                f"flat layout into shard segments "
-                f"({counts['dropped']} dropped)",
-            )
-        return counts
-
-    @staticmethod
-    def _drop_legacy(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def _remove_legacy_tree(self) -> None:
-        legacy = self.legacy_entries_dir
-        try:
-            for shard in os.listdir(legacy):
-                shard_dir = os.path.join(legacy, shard)
-                if os.path.isdir(shard_dir) and not os.listdir(shard_dir):
-                    os.rmdir(shard_dir)
-            if not os.listdir(legacy):
-                os.rmdir(legacy)
-        except OSError:
-            pass
 
     # -- maintenance --------------------------------------------------------
     def clear(self) -> int:

@@ -1,4 +1,4 @@
-"""``python -m repro.service`` — drive the compilation service from a shell.
+"""The compilation service's subcommands of ``python -m repro``.
 
 Subcommands::
 
@@ -240,7 +240,7 @@ def register_subcommands(sub) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
+        prog="python -m repro",
         description="Parallel cached compilation service for the flow suite.",
     )
     parser.add_argument(

@@ -56,11 +56,8 @@ PIPELINE_VERSION = 5
 #: without those attributes, so they are retired wholesale.
 #: 3: FlowComparison grew the ``lint`` verdict dict.
 #: 4: the store moved from a flat ``entries/`` tree to sharded
-#: ``shards/<prefix>/`` segments with a layout manifest.  The payload
-#: pickle encoding is unchanged, so opening an old cache migrates
-#: format-3 entries in place (rewritten headers, re-homed files)
-#: instead of cold-starting — see
-#: :meth:`repro.service.cache.CompilationCache._migrate_legacy_layout`.
+#: ``shards/<prefix>/`` segments with a layout manifest; an old flat
+#: tree is never read, so such a cache starts cold.
 CACHE_FORMAT_VERSION = 4
 
 

@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.adaptor import HLSAdaptor
 from repro.api import CompileResult, compile_kernel
-from repro.hls.engine import synthesize
+from repro.backends import create_backend
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir.passes import convert_to_llvm, lowering_pipeline
 from repro.service.service import resolve_config
@@ -25,7 +25,7 @@ def manual_synth_report(kernel: str, config: str = "optimized"):
     ir_module = convert_to_llvm(spec.module)
     standard_cleanup_pipeline().run(ir_module)
     HLSAdaptor().run(ir_module)
-    return synthesize(ir_module)
+    return create_backend("static").synthesize(ir_module)
 
 
 class TestFacadeVsManual:

@@ -1,10 +1,7 @@
 """The backend contract and registry: ids, construction, projection,
-the legacy ``repro.hls.HLSEngine`` deprecation shim, and the
-``repro.api.backends()`` listing."""
+and the ``repro.api.backends()`` listing."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -99,23 +96,6 @@ class TestCapabilities:
         assert dataflow.project_signature(base) != dataflow.project_signature(
             unrolled
         )
-
-
-class TestDeprecationShim:
-    def test_legacy_hls_engine_import_warns_but_works(self):
-        import repro.hls as hls
-
-        hls.__dict__.pop("HLSEngine", None)  # force the PEP 562 path
-        with pytest.warns(DeprecationWarning, match="repro.hls.HLSEngine"):
-            engine_cls = hls.HLSEngine
-        from repro.hls.engine import HLSEngine
-
-        assert engine_cls is HLSEngine
-
-    def test_new_import_path_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.hls.engine import HLSEngine, synthesize  # noqa: F401
 
 
 class TestApiListing:

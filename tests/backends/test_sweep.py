@@ -4,24 +4,26 @@ Two claims the registry refactor must keep true forever:
 
 * every backend accepts every adapted MINI kernel — the adaptor's output
   is the *contract* frontend dialect, not something tuned to one engine;
-* ``backends.static`` is a zero-cost adapter: its reports are
-  bit-identical to the raw pre-registry :class:`repro.hls.engine.HLSEngine`
-  (same scheduling, same binding, same numbers — only the stamped
-  ``backend`` id is new, and it matches the report's default).
+* the static backend still reproduces the standalone static engine it
+  grew out of: its reports are bit-identical to the ones pinned in
+  ``report_snapshot.json`` (same scheduling, same binding, same numbers).
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.adaptor import HLSAdaptor
 from repro.backends import backend_ids, create_backend
-from repro.hls.engine import HLSEngine
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir.passes import convert_to_llvm, lowering_pipeline
 from repro.service.service import resolve_config
 from repro.workloads import build_kernel
 from repro.workloads.suite import SUITE_SIZES
+
+from .test_report_snapshot import SNAPSHOT, report_dict
 
 KERNELS = sorted(SUITE_SIZES["MINI"])
 
@@ -55,12 +57,11 @@ def test_every_backend_accepts_every_kernel(adapted, kernel):
 @pytest.mark.tier1
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_static_backend_bit_identical_to_raw_engine(adapted, kernel):
-    via_registry = create_backend("static").synthesize(adapted[kernel])
-    raw = HLSEngine().synthesize(adapted[kernel])
-    # Dataclass equality covers every field — latencies, resources,
-    # fu_instances, loop table, warnings — and the stamped backend id
-    # equals the report default, so the comparison is exact.
-    assert via_registry == raw, kernel
+    report = create_backend("static").synthesize(adapted[kernel])
+    pinned = json.loads(SNAPSHOT.read_text())[f"{kernel}/optimized"]["static"]
+    # Every field — latencies, resources, fu_instances, loop table,
+    # warnings, the stamped backend id — must match exactly.
+    assert report_dict(report) == pinned, kernel
 
 
 def test_dataflow_reports_emergent_ii(adapted):

@@ -123,25 +123,6 @@ def _module_env():
     return env
 
 
-@pytest.mark.parametrize(
-    "module,argv",
-    [
-        ("repro.service", ["cache", "stats"]),
-        ("repro.lint", ["rules"]),
-        ("repro.observability", ["validate", "nonexistent.json"]),
-    ],
-)
-def test_deprecated_shims_forward_and_point(module, argv, tmp_path):
-    """Old entry points still work and print the deprecation pointer."""
-    result = subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, env=_module_env(),
-        cwd=str(tmp_path), timeout=120,
-    )
-    assert "deprecated" in result.stderr
-    assert "python -m repro" in result.stderr
-
-
 def test_unified_module_entry(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "lint", "rules"],

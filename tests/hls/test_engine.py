@@ -4,7 +4,8 @@ utilisation."""
 import pytest
 
 from repro.adaptor import HLSAdaptor
-from repro.hls import DEVICES, FrontendError, HLSEngine, synthesize
+from repro.backends import create_backend
+from repro.hls import DEVICES, FrontendError
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir.passes import convert_to_llvm, lowering_pipeline
 from repro.mlir.passes.array_partition import set_array_partition
@@ -35,7 +36,7 @@ def synth_kernel(name="gemm", sizes=None, directive=None, partition=None,
     standard_cleanup_pipeline().run(irmod)
     HLSAdaptor().run(irmod)
     standard_cleanup_pipeline().run(irmod)
-    return synthesize(irmod, device=device)
+    return create_backend("static", device=device).synthesize(irmod)
 
 
 class TestReports:
@@ -73,7 +74,7 @@ class TestReports:
         lowering_pipeline().run(spec.module)
         irmod = convert_to_llvm(spec.module)
         with pytest.raises(FrontendError):
-            synthesize(irmod)
+            create_backend("static").synthesize(irmod)
 
     def test_top_function_selection(self):
         spec = build_kernel("gemm", NI=4, NJ=4, NK=4)
@@ -81,10 +82,10 @@ class TestReports:
         irmod = convert_to_llvm(spec.module)
         standard_cleanup_pipeline().run(irmod)
         HLSAdaptor().run(irmod)
-        report = synthesize(irmod, top="gemm")
+        report = create_backend("static").synthesize(irmod, top="gemm")
         assert report.function == "gemm"
         with pytest.raises(ValueError):
-            synthesize(irmod, top="nope")
+            create_backend("static").synthesize(irmod, top="nope")
 
 
 class TestDirectiveEffects:

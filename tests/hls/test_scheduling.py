@@ -273,7 +273,7 @@ class TestRegisterRecurrences:
         from repro.ir import IRBuilder, Module
         from repro.ir import types as irt
         from repro.ir.metadata import InterfaceSpec, LoopDirectives, encode_loop_directives
-        from repro.hls.engine import synthesize
+        from repro.backends import create_backend
 
         m = Module("iv", opaque_pointers=False)
         arr = irt.array_of(irt.f32, 16)
@@ -310,6 +310,6 @@ class TestRegisterRecurrences:
         b.position_at_end(exit_)
         b.ret()
 
-        report = synthesize(m)
+        report = create_backend("static").synthesize(m)
         pipelined = [l for l in report.loops if l.pipelined]
         assert pipelined and pipelined[0].ii == 1

@@ -15,13 +15,13 @@ DOC_PATH = os.path.join(
 def test_lint_rules_doc_is_current():
     assert os.path.exists(DOC_PATH), (
         "docs/lint-rules.md missing; regenerate with "
-        "`python -m repro.lint rules > docs/lint-rules.md`"
+        "`python -m repro lint rules > docs/lint-rules.md`"
     )
     with open(DOC_PATH) as fh:
         checked_in = fh.read()
     assert checked_in == render_rules_markdown(), (
         "docs/lint-rules.md is stale; regenerate with "
-        "`python -m repro.lint rules > docs/lint-rules.md`"
+        "`python -m repro lint rules > docs/lint-rules.md`"
     )
 
 

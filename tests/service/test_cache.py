@@ -224,82 +224,20 @@ class TestConcurrentWriters:
         assert cache.stats.misses == 1
 
 
-def _write_legacy_entry(root, key, value, fmt=3, corrupt=False):
-    """Hand-build a pre-sharding flat-layout entry (``entries/<k[:2]>/``)
-    exactly as format-3 caches wrote them."""
-    import hashlib
-
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    header = {
-        "format": fmt,
-        "key": key,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_bytes": len(payload),
-        "kernel": "legacy",
-    }
-    shard_dir = os.path.join(root, "entries", key[:2])
-    os.makedirs(shard_dir, exist_ok=True)
-    path = os.path.join(shard_dir, key + ".entry")
-    blob = json.dumps(header).encode() + b"\n" + payload
-    if corrupt:
-        blob = blob[:-4]
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return path
-
-
-class TestLegacyLayoutMigration:
-    """Opening a flat-layout (pre-format-4) cache migrates it in place:
-    valid format-3 entries stay warm under ``shards/``, everything else
-    is dropped, and the legacy tree is removed."""
-
-    def test_valid_legacy_entries_stay_warm(self, tmp_path):
-        root = str(tmp_path / "cache")
-        keys = ["1a" + "0" * 62, "2b" + "0" * 62, "3c" + "0" * 62]
-        for i, key in enumerate(keys):
-            _write_legacy_entry(root, key, {"value": i})
-        engine = DiagnosticEngine()
-        cache = CompilationCache(root, engine=engine)
-        for i, key in enumerate(keys):
-            assert cache.load(key) == {"value": i}
-        assert cache.stats.hits == len(keys)
-        assert not os.path.exists(os.path.join(root, "entries"))
-        assert any(d.code == "REPRO-CACHE-003" for d in engine.diagnostics)
-
-    def test_migrated_headers_are_current_format(self, tmp_path):
-        root = str(tmp_path / "cache")
-        _write_legacy_entry(root, "ab" + "0" * 62, "payload")
-        cache = CompilationCache(root)
-        (header,) = cache.entry_headers()
-        assert header["format"] == fp_mod.CACHE_FORMAT_VERSION
-        assert header["shard"] == "ab"
-        assert header["kernel"] == "legacy"  # metadata preserved
-
-    def test_corrupt_and_ancient_legacy_entries_dropped(self, tmp_path):
-        root = str(tmp_path / "cache")
-        _write_legacy_entry(root, "aa" + "0" * 62, "good")
-        _write_legacy_entry(root, "bb" + "0" * 62, "torn", corrupt=True)
-        _write_legacy_entry(root, "cc" + "0" * 62, "ancient", fmt=2)
-        cache = CompilationCache(root)
-        assert cache.load("aa" + "0" * 62) == "good"
-        assert cache.load("bb" + "0" * 62) is None
-        assert cache.load("cc" + "0" * 62) is None
-        assert cache.disk_stats()["entries"] == 1
-
-    def test_migration_is_idempotent(self, tmp_path):
-        root = str(tmp_path / "cache")
-        _write_legacy_entry(root, "ab" + "0" * 62, {"v": 1})
-        CompilationCache(root)
-        # Second open: no legacy tree left, nothing to do, still loads.
-        cache = CompilationCache(root)
-        assert cache.load("ab" + "0" * 62) == {"v": 1}
-
-    def test_fresh_cache_has_no_migration_note(self, tmp_path):
-        engine = DiagnosticEngine()
-        CompilationCache(str(tmp_path / "cache"), engine=engine)
-        assert not any(
-            d.code == "REPRO-CACHE-003" for d in engine.diagnostics
-        )
+def test_legacy_flat_tree_is_a_miss(tmp_path):
+    """A pre-sharding ``entries/`` tree is never read: the cache starts
+    cold, says nothing, and leaves the old files alone."""
+    root = tmp_path / "cache"
+    key = "ab" + "0" * 62
+    legacy = root / "entries" / "ab" / (key + ".entry")
+    legacy.parent.mkdir(parents=True)
+    legacy.write_bytes(b'{"format": 3}\n')
+    engine = DiagnosticEngine()
+    cache = CompilationCache(str(root), engine=engine)
+    assert cache.load(key) is None
+    assert cache.stats.misses == 1
+    assert not engine.diagnostics
+    assert legacy.exists()
 
 
 class TestServiceLevelCorruption:
