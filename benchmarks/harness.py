@@ -24,12 +24,7 @@ from repro.observability import (
     use_statistics,
     use_tracer,
 )
-from repro.service import (
-    CompilationService,
-    FailurePolicy,
-    NAMED_CONFIGS,
-    default_jobs,
-)
+from repro.service import CompilationService, FailurePolicy, default_jobs
 from repro.testing import ChaosProfile
 from repro.workloads.suite import SUITE_SIZES
 
@@ -43,9 +38,6 @@ TRACE_DIR = os.environ.get("REPRO_TRACE_OUT")
 
 SUITE_SIZE_CLASS = "SMALL"
 SUITE_KERNELS = list(SUITE_SIZES[SUITE_SIZE_CLASS].keys())
-
-# Kept for backwards compatibility; the registry now lives in the service.
-_CONFIGS = NAMED_CONFIGS
 
 #: Benchmark runs share one on-disk cache next to the results, so a rerun
 #: (or a different table touching the same config) is warm.  Override the

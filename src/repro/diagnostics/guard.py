@@ -9,12 +9,12 @@ replayable offline with :func:`repro.diagnostics.replay`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
-from .engine import Diagnostic, DiagnosticEngine
+from .engine import Diagnostic, DiagnosticEngine, Severity
 from .reproducer import CrashReproducer, emit_reproducer
 
-__all__ = ["PassGuard"]
+__all__ = ["PassGuard", "raise_pass_failure"]
 
 
 class PassGuard:
@@ -72,3 +72,36 @@ class PassGuard:
         if self.engine is not None:
             self.engine.emit(diagnostic)
         return path
+
+
+def raise_pass_failure(
+    error_cls,
+    guard: Optional[PassGuard],
+    verify_each: bool,
+    module,
+    snapshot,
+    pipeline_tail: List[str],
+    message: str,
+    cause: Exception,
+) -> NoReturn:
+    """Raise ``error_cls`` for the pass ``pipeline_tail[0]`` of an IR or
+    MLIR pass manager.
+
+    With a ``guard`` and a pre-pass ``snapshot``, the module is first rolled
+    back and a crash reproducer written; its path rides on the error.
+    """
+    diagnostic = Diagnostic(
+        severity=Severity.ERROR,
+        code=error_cls.code,
+        message=message,
+        pass_name=pipeline_tail[0],
+    )
+    path = None
+    if guard is not None and snapshot is not None:
+        path = guard.failure(module, snapshot, pipeline_tail, verify_each, diagnostic)
+    raise error_cls(
+        message,
+        pass_name=pipeline_tail[0],
+        diagnostic=diagnostic,
+        reproducer_path=path,
+    ) from cause

@@ -12,7 +12,6 @@ graceful degradation and crash reproducers.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Union
 

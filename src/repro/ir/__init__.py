@@ -9,7 +9,6 @@ modern intrinsics, ``!llvm.loop`` metadata).
 
 from . import types
 from .builder import IRBuilder
-from .fastpath import ir_fast_enabled
 from .interning import (
     InternContext,
     current_intern_context,
@@ -37,7 +36,6 @@ __all__ = [
     "ValueSideTable",
     "current_intern_context",
     "intern_table_sizes",
-    "ir_fast_enabled",
     "isolated_intern_context",
     "types",
     "IRBuilder",

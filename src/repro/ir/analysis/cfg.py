@@ -1,35 +1,40 @@
 """CFG traversal orders over :class:`~repro.ir.module.Function` blocks.
 
-In fast mode (``REPRO_IR_FAST``, the default) traversal results are cached
-per function, keyed by ``Function.version``: every mutation API on blocks,
-instructions and operands bumps the counter, so a cache hit is only
-possible when the function is bit-identical to when the order was
-computed.  The cache lives in a weak side table, so it dies with the
-function and never pins IR objects.
+Traversal results (and the dominator tree, see :mod:`.dominators`) are
+cached on the function itself, in ``Function.analyses``, stamped with
+``Function.version``: every mutation API on blocks, instructions and
+operands bumps the counter, so a cache hit is only possible when the
+function is bit-identical to when the results were computed.  The cache
+dies with its function and is never pickled or copied with it.
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
-from ..fastpath import ir_fast_enabled
 from ..module import BasicBlock, Function
-from ..sidetable import ValueSideTable
 
 __all__ = ["postorder", "reverse_postorder", "reachable_blocks"]
 
-#: fn -> (fn.version, postorder list, reachable-id set)
-_CFG_CACHE: ValueSideTable = ValueSideTable("cfg-orders")
+
+class FunctionAnalyses:
+    """Analyses of one function at one ``Function.version``."""
+
+    __slots__ = ("version", "postorder", "reachable", "dominator_tree")
+
+    def __init__(self, fn: Function):
+        self.version = fn.version
+        self.postorder = _compute_postorder(fn)
+        self.reachable = {id(b) for b in self.postorder}
+        self.dominator_tree = None  # filled on demand by ``dominator_tree()``
 
 
-def _cached_orders(fn: Function) -> Tuple[List[BasicBlock], Set[int]]:
-    cached = _CFG_CACHE.get(fn)
-    if cached is not None and cached[0] == fn.version:
-        return cached[1], cached[2]
-    order = _compute_postorder(fn)
-    reach = {id(b) for b in order}
-    _CFG_CACHE.set(fn, (fn.version, order, reach))
-    return order, reach
+def cached_analyses(fn: Function) -> FunctionAnalyses:
+    """``fn``'s analysis cache, recomputed if ``fn`` changed since."""
+    cache = fn.analyses
+    if cache is None or cache.version != fn.version:
+        cache = fn.analyses = FunctionAnalyses(fn)
+    return cache
 
 
 def postorder(fn: Function) -> List[BasicBlock]:
@@ -38,9 +43,7 @@ def postorder(fn: Function) -> List[BasicBlock]:
     Iterative to stay safe on deep loop-nest CFGs.  Returns a fresh list;
     callers may reorder/filter it freely.
     """
-    if not ir_fast_enabled():
-        return _compute_postorder(fn)
-    return list(_cached_orders(fn)[0])
+    return list(cached_analyses(fn).postorder)
 
 
 def _compute_postorder(fn: Function) -> List[BasicBlock]:
@@ -71,6 +74,4 @@ def reverse_postorder(fn: Function) -> List[BasicBlock]:
 
 def reachable_blocks(fn: Function) -> Set[int]:
     """ids of blocks reachable from entry."""
-    if not ir_fast_enabled():
-        return {id(b) for b in _compute_postorder(fn)}
-    return set(_cached_orders(fn)[1])
+    return set(cached_analyses(fn).reachable)

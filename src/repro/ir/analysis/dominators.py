@@ -4,33 +4,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..fastpath import ir_fast_enabled
 from ..module import BasicBlock, Function
-from ..sidetable import ValueSideTable
-from .cfg import reverse_postorder
+from .cfg import cached_analyses, reverse_postorder
 
 __all__ = ["DominatorTree", "dominator_tree"]
-
-#: fn -> (fn.version, DominatorTree) — same invalidation contract as the
-#: CFG-order cache: any mutation bumps ``Function.version``.
-_DT_CACHE: ValueSideTable = ValueSideTable("dominator-tree")
 
 
 def dominator_tree(fn: Function) -> "DominatorTree":
     """Return a dominator tree for ``fn``, cached by ``Function.version``.
 
-    In fast mode repeated queries on an unmodified function (the verifier
-    after no-op passes, CSE followed by Mem2Reg, ...) share one tree.  The
-    tree is read-only; callers must not mutate it.
+    Repeated queries on an unmodified function (the verifier after no-op
+    passes, CSE followed by Mem2Reg, ...) share one tree, held in the
+    function's analysis cache (see :mod:`.cfg`).  The tree is read-only;
+    callers must not mutate it.
     """
-    if not ir_fast_enabled():
-        return DominatorTree(fn)
-    cached = _DT_CACHE.get(fn)
-    if cached is not None and cached[0] == fn.version:
-        return cached[1]
-    dt = DominatorTree(fn)
-    _DT_CACHE.set(fn, (fn.version, dt))
-    return dt
+    cache = cached_analyses(fn)
+    if cache.dominator_tree is None:
+        cache.dominator_tree = DominatorTree(fn)
+    return cache.dominator_tree
 
 
 class DominatorTree:

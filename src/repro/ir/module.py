@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copyreg
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .instructions import Instruction, Phi
@@ -129,6 +130,7 @@ class Function(GlobalValue):
         "hls_memref_args",
         "hls_buffer_types",
         "version",
+        "analyses",
     )
 
     def __init__(
@@ -144,6 +146,9 @@ class Function(GlobalValue):
         # compares before/after values to decide which functions a pass
         # actually touched and limits re-verification to those.
         self.version = 0
+        # Cached CFG orders and dominator tree, stamped with ``version``
+        # (a ``repro.ir.analysis.cfg.FunctionAnalyses``, or None).
+        self.analyses = None
         self.function_type = function_type
         self.module = module
         self.blocks: List[BasicBlock] = []
@@ -209,6 +214,22 @@ class Function(GlobalValue):
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration else "define"
         return f"<Function {kind} @{self.name}>"
+
+    # -- pickling / copying ----------------------------------------------------
+    # The default slot state, minus ``analyses``: cached analyses name blocks
+    # by id(), which is process-local, so a pickled or copied function
+    # starts with an empty cache.
+    def __getstate__(self):
+        return None, {
+            name: getattr(self, name)
+            for name in copyreg._slotnames(type(self))
+            if name != "analyses" and hasattr(self, name)
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.analyses = None
 
 
 class Module:

@@ -13,7 +13,14 @@ Annotations that genuinely live *outside* the IR belong in a
 object (every slotted IR class keeps a ``__weakref__`` slot for exactly
 this), scoped to whatever owns the table.  When the IR object dies, the
 annotation goes with it; when the owning analysis dies, all its annotations
-vanish at once — no sweep phase, no leaks into unrelated pipeline runs.
+vanish at once — no sweep phase.
+
+A value must never reference its key, directly or through the IR (a block's
+``parent``, a function's ``module``): the table holds values strongly, so
+such an entry keeps its key — and everything the key reaches — alive for
+as long as the table lives.  Results that describe an IR object and point
+back into it (CFG orders, dominator trees) belong on the object itself; see
+``Function.analyses``.
 """
 
 from __future__ import annotations

@@ -19,11 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ...diagnostics.engine import Diagnostic, Severity
 from ...diagnostics.errors import PassExecutionError, PassVerificationError
-from ...diagnostics.guard import PassGuard
+from ...diagnostics.guard import PassGuard, raise_pass_failure
 from ...observability import get_statistics, get_tracer
-from ..fastpath import ir_fast_enabled
 from ..module import Function, Module
 
 __all__ = [
@@ -117,44 +115,17 @@ class PassManager:
         self.passes.append(pass_)
         return self
 
-    def _fail(
-        self,
-        error_cls,
-        module: Module,
-        snapshot,
-        pipeline_tail: List[str],
-        message: str,
-        cause: Exception,
-    ) -> None:
-        diagnostic = Diagnostic(
-            severity=Severity.ERROR,
-            code=error_cls.code,
-            message=message,
-            pass_name=pipeline_tail[0],
-        )
-        path = None
-        if self.guard is not None and snapshot is not None:
-            path = self.guard.failure(
-                module, snapshot, pipeline_tail, self.verify_each, diagnostic
-            )
-        raise error_cls(
-            message,
-            pass_name=pipeline_tail[0],
-            diagnostic=diagnostic,
-            reproducer_path=path,
-        ) from cause
-
-    def _plan(self, fast: bool) -> List[List[ModulePass]]:
+    def _plan(self) -> List[List[ModulePass]]:
         """Group the pipeline for execution.
 
-        In fast mode (and without a guard — rollback needs per-pass
-        snapshots, so a guarded manager never fuses), maximal runs of
-        consecutive *plain* function passes — ones that did not override
-        :meth:`FunctionPass.run_on_module` — form fused groups that execute
-        in a single walk over the module's functions.  Everything else runs
-        as a singleton group, preserving pass order.
+        Without a guard, maximal runs of consecutive *plain* function
+        passes — ones that did not override :meth:`FunctionPass.run_on_module`
+        — form fused groups that execute in a single walk over the module's
+        functions.  Everything else runs as a singleton group, preserving
+        pass order.  A guarded manager runs one pass per group: rollback
+        needs per-pass snapshots.
         """
-        if not fast or self.guard is not None:
+        if self.guard is not None:
             return [[p] for p in self.passes]
         plan: List[List[ModulePass]] = []
         current: List[ModulePass] = []
@@ -216,8 +187,10 @@ class PassManager:
             try:
                 verify_module(module, functions=targets)
             except Exception as exc:
-                self._fail(
+                raise_pass_failure(
                     PassVerificationError,
+                    self.guard,
+                    self.verify_each,
                     module,
                     snapshot,
                     pipeline_tail,
@@ -230,19 +203,18 @@ class PassManager:
 
         tracer = get_tracer()
         registry = get_statistics()
-        fast = ir_fast_enabled()
         names = [p.name for p in self.passes]
         run_stats: List[PassStatistics] = []
         if registry.enabled and self.passes:
             registry.bump("module", "instructions-before", count_instructions(module))
-        # Deferred verification (fast mode, no guard): trusted passes bank
-        # their touched-function sets in ``deferred`` and the whole run is
+        # Deferred verification (no guard): trusted passes bank their
+        # touched-function sets in ``deferred`` and the whole run is
         # re-verified once at the end — the pipeline-boundary verification
         # discipline production compilers use.  Untrusted passes still
         # trigger an immediate full verify (which also discharges anything
         # banked so far), and a guarded manager verifies after every pass
         # because rollback needs to know *which* pass broke the module.
-        defer = fast and self.guard is None and self.verify_each
+        defer = self.guard is None and self.verify_each
         deferred: List[PassStatistics] = []
         versions = (
             {id(fn): fn.version for fn in module.functions} if defer else None
@@ -252,11 +224,11 @@ class PassManager:
         # untrusted-pass full-verify path can update it).
         clean_cell = [defer and is_recorded_clean(module)]
         index = 0
-        for group in self._plan(fast):
+        for group in self._plan():
             if len(group) == 1:
                 self._run_single(
                     module, group[0], names[index:], run_stats,
-                    tracer, registry, verify_module, fast,
+                    tracer, registry, verify_module,
                     defer, deferred, versions, clean_cell,
                 )
             else:
@@ -287,7 +259,6 @@ class PassManager:
         tracer,
         registry,
         verify_module,
-        fast: bool,
         defer: bool = False,
         deferred: Optional[List[PassStatistics]] = None,
         run_versions: Optional[Dict[int, int]] = None,
@@ -300,10 +271,9 @@ class PassManager:
             isinstance(pass_, FunctionPass)
             and type(pass_).run_on_module is FunctionPass.run_on_module
         )
-        incremental = fast and trusted
         versions = (
             {id(fn): fn.version for fn in module.functions}
-            if incremental and not defer
+            if trusted and not defer
             else None
         )
         with tracer.span(pass_.name, category="pass") as span:
@@ -312,8 +282,10 @@ class PassManager:
                 pass_.run_on_module(module, stats)
             except Exception as exc:
                 stats.seconds = time.perf_counter() - start
-                self._fail(
+                raise_pass_failure(
                     PassExecutionError,
+                    self.guard,
+                    self.verify_each,
                     module,
                     snapshot,
                     tail,
@@ -336,7 +308,7 @@ class PassManager:
                     return
                 targets = (
                     self._verify_targets(module, [stats], versions)
-                    if incremental and not defer
+                    if trusted and not defer
                     else None
                 )
                 self._verify_after(
@@ -372,10 +344,11 @@ class PassManager:
         Per-pass attribution is preserved: each pass still gets its own
         statistics object, its own category-``"pass"`` span (with wall time
         accumulated across functions) and its own churn-ledger entries, in
-        pipeline order — exactly the shape the N-walk baseline produces.
-        The group's touched sets are banked in ``deferred`` and verified at
-        the run's single flush.  Fused groups never run under a guard (see
-        :meth:`_plan`), so there is no per-pass snapshot to maintain.
+        pipeline order — exactly the shape a guarded, one-walk-per-pass run
+        produces.  The group's touched sets are banked in ``deferred`` and
+        verified at the run's single flush.  Fused groups never run under a
+        guard (see :meth:`_plan`), so there is no per-pass snapshot to
+        maintain.
         """
         size = len(group)
         group_stats = [PassStatistics(p.name) for p in group]
@@ -402,8 +375,10 @@ class PassManager:
                         run_stats.append(group_stats[k])
                         self.history.append(group_stats[k])
                     stats.seconds = times[j]
-                    self._fail(
+                    raise_pass_failure(
                         PassExecutionError,
+                        self.guard,
+                        self.verify_each,
                         module,
                         None,
                         tail[j:],

@@ -18,7 +18,6 @@ from typing import Iterable, List, Optional
 from ..diagnostics.errors import CompilationError
 from .analysis.cfg import reachable_blocks
 from .analysis.dominators import dominator_tree
-from .fastpath import ir_fast_enabled
 from .instructions import Instruction, Phi
 from .module import BasicBlock, Function, Module
 from .sidetable import ValueSideTable
@@ -34,10 +33,10 @@ __all__ = [
 
 #: module -> clean token: the per-function version vector (plus symbol
 #: identity) at the moment the module last passed a whole-module verify.
-#: Fast mode uses it to drop *boundary* re-verification — e.g. the adaptor
+#: It lets *boundary* re-verification be dropped — e.g. the adaptor
 #: verifying an input module the MLIR lowering verified microseconds
 #: earlier.  Any mutation through the IR's APIs bumps a function version
-#: and invalidates the token.
+#: and invalidates the token.  The token holds only ints, never the module.
 _CLEAN_TOKENS: ValueSideTable = ValueSideTable("verified-clean")
 
 
@@ -87,14 +86,13 @@ def verify_module(
     re-verification: after a pass it re-verifies only the functions the
     pass's dirty tracking reports as touched.  ``None`` means verify all.
 
-    ``assume_clean=True`` lets a fast-mode full verify return immediately
-    when the module is byte-for-byte unchanged (per its version vector)
-    since it last passed one — for pipeline-boundary verifies of modules
-    another stage just checked.  Callers that verify *untrusted* state
+    ``assume_clean=True`` lets a full verify return immediately when the
+    module is byte-for-byte unchanged (per its version vector) since it
+    last passed one — for pipeline-boundary verifies of modules another
+    stage just checked.  Callers that verify *untrusted* state
     (e.g. after a pass with no dirty-tracking promise) must not set it.
     """
-    fast = ir_fast_enabled()
-    if assume_clean and fast and functions is None and is_recorded_clean(module):
+    if assume_clean and functions is None and is_recorded_clean(module):
         return
     errors: List[str] = []
     seen_names = set()
@@ -111,7 +109,7 @@ def verify_module(
         seen_names.add(g.name)
     if errors:
         raise VerificationError(errors)
-    if fast and selected is None:
+    if selected is None:
         record_clean(module)
 
 

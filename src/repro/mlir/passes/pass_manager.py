@@ -14,10 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ...diagnostics.engine import Diagnostic, Severity
 from ...diagnostics.errors import PassExecutionError, PassVerificationError
-from ...diagnostics.guard import PassGuard
-from ...ir.fastpath import ir_fast_enabled
+from ...diagnostics.guard import PassGuard, raise_pass_failure
 from ...observability import get_statistics, get_tracer
 from ..dialects.builtin import ModuleOp
 
@@ -54,46 +52,20 @@ class MLIRPassManager:
         self.passes.append(pass_)
         return self
 
-    def _fail(
-        self,
-        error_cls,
-        module: ModuleOp,
-        snapshot,
-        pipeline_tail: List[str],
-        message: str,
-        cause: Exception,
-    ) -> None:
-        diagnostic = Diagnostic(
-            severity=Severity.ERROR,
-            code=error_cls.code,
-            message=message,
-            pass_name=pipeline_tail[0],
-        )
-        path = None
-        if self.guard is not None and snapshot is not None:
-            path = self.guard.failure(
-                module, snapshot, pipeline_tail, self.verify_each, diagnostic
-            )
-        raise error_cls(
-            message,
-            pass_name=pipeline_tail[0],
-            diagnostic=diagnostic,
-            reproducer_path=path,
-        ) from cause
-
     def run(self, module: ModuleOp) -> List[MLIRPassStatistics]:
         from ..verifier import verify_module
 
         tracer = get_tracer()
         registry = get_statistics()
-        fast = ir_fast_enabled()
         names = [p.name for p in self.passes]
         run_stats: List[MLIRPassStatistics] = []
-        # Fast-mode deferral: rewrites accumulate and one verify runs at
+        # Deferral (no guard): rewrites accumulate and one verify runs at
         # each *boundary* — the end of the pipeline, or the pass right
         # before ``scf-to-cf`` (whose cf-level output the structured
-        # verifier cannot model, so it is the last verifiable point).
-        defer = fast and self.guard is None and self.verify_each
+        # verifier cannot model, so it is the last verifiable point).  A
+        # guarded manager verifies after every pass, so a failure is
+        # blamed on, and rolled back to before, the pass that caused it.
+        defer = self.guard is None and self.verify_each
         pending = False
         for i, pass_ in enumerate(self.passes):
             snapshot = self.guard.snapshot(module) if self.guard is not None else None
@@ -104,8 +76,10 @@ class MLIRPassManager:
                     pass_.run(module, stats)
                 except Exception as exc:
                     stats.seconds = time.perf_counter() - start
-                    self._fail(
+                    raise_pass_failure(
                         PassExecutionError,
+                        self.guard,
+                        self.verify_each,
                         module,
                         snapshot,
                         names[i:],
@@ -140,8 +114,10 @@ class MLIRPassManager:
                         try:
                             verify_module(module)
                         except Exception as exc:
-                            self._fail(
+                            raise_pass_failure(
                                 PassVerificationError,
+                                self.guard,
+                                self.verify_each,
                                 module,
                                 snapshot,
                                 names[i:],

@@ -1,46 +1,76 @@
-"""Substrate-equivalence sweep: fast mode must be invisible in outputs.
+"""Substrate-equivalence sweep: the fast path must be invisible in outputs.
 
-``REPRO_IR_FAST`` gates the substrate's speed features — pass fusion,
-incremental + deferred re-verification, version-keyed analysis caches,
-verified-clean tokens.  All of them are *elision* optimisations: they may
-skip redundant work, never change what the pipeline produces.  This sweep
-compiles every MINI suite kernel twice, once per mode, and pins the
-contract byte-for-byte:
+An unguarded pass manager takes the substrate's fast path — pass fusion,
+deferred re-verification, and the clean-token and version-keyed analysis
+caches it leans on.  All of these are *elision* optimisations: they may
+skip redundant work, never change what the pipeline produces.  A guarded
+manager (the one ``HLSAdaptor(on_error="recover")`` and ``reproducer_dir=``
+build) runs one pass per walk and verifies after every pass, because
+rollback and blame need it; that production path is the reference.  This
+sweep compiles every MINI suite kernel once per path and pins the contract
+byte-for-byte:
 
 * printed adaptor IR is identical,
 * lint reports are identical (same rules run, same findings),
-* per-pass rewrite statistics are identical (Fig. 3 inputs),
-* fast-mode output still matches the committed golden snapshots.
+* per-pass rewrite statistics and touched sets are identical (Fig. 3
+  inputs),
+* synthesis estimates are identical,
+* ``StatisticsRegistry`` counters and the category-``"pass"`` span
+  sequence are identical.
 
-A divergence here means a fast-path feature changed semantics — exactly
-the bug class the flag exists to bisect.
+A divergence here means a fast-path feature changed semantics.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.flows import OptimizationConfig, run_adaptor_flow
-from repro.ir.fastpath import FAST_ENV_VAR
+from repro.diagnostics import PassGuard
+from repro.flows import OptimizationConfig, adaptor_flow, run_adaptor_flow
 from repro.ir.printer import print_module
+from repro.observability import (
+    StatisticsRegistry,
+    Tracer,
+    use_statistics,
+    use_tracer,
+)
 from repro.workloads import build_kernel
 from repro.workloads.suite import SUITE_SIZES
-
-GOLDEN_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(__file__)), "golden", "goldens"
-)
 
 KERNELS = sorted(SUITE_SIZES["MINI"])
 
 
-def _compile(kernel: str, fast: bool, monkeypatch):
-    monkeypatch.setenv(FAST_ENV_VAR, "1" if fast else "0")
+def _guarded(factory, kind: str):
+    def build():
+        pm = factory()
+        pm.guard = PassGuard(kind=kind)
+        return pm
+
+    return build
+
+
+def _compile(kernel: str, reproducer_dir=None):
+    """Compile ``kernel``; with ``reproducer_dir`` every pass manager of the
+    flow (MLIR lowering, IR cleanup, adaptor) runs guarded."""
     spec = build_kernel(kernel, **SUITE_SIZES["MINI"][kernel])
     OptimizationConfig.optimized(ii=1).apply(spec)
-    result = run_adaptor_flow(spec, lint="report")
-    return result
+    tracer = Tracer()
+    registry = StatisticsRegistry()
+    with pytest.MonkeyPatch.context() as mp:
+        if reproducer_dir is not None:
+            mp.setattr(
+                adaptor_flow, "lowering_pipeline",
+                _guarded(adaptor_flow.lowering_pipeline, "mlir"),
+            )
+            mp.setattr(
+                adaptor_flow, "standard_cleanup_pipeline",
+                _guarded(adaptor_flow.standard_cleanup_pipeline, "ir"),
+            )
+        with use_tracer(tracer), use_statistics(registry):
+            result = run_adaptor_flow(
+                spec, lint="report", reproducer_dir=reproducer_dir
+            )
+    return result, tracer, registry
 
 
 def _lint_fingerprint(report):
@@ -57,41 +87,39 @@ def _lint_fingerprint(report):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_fast_mode_is_bit_identical(kernel, monkeypatch):
-    baseline = _compile(kernel, fast=False, monkeypatch=monkeypatch)
-    fast = _compile(kernel, fast=True, monkeypatch=monkeypatch)
+def test_fast_mode_is_bit_identical(kernel, tmp_path):
+    fast, fast_tracer, fast_registry = _compile(kernel)
+    guarded, guarded_tracer, guarded_registry = _compile(
+        kernel, reproducer_dir=str(tmp_path)
+    )
 
-    assert print_module(fast.ir_module) == print_module(baseline.ir_module), (
-        f"{kernel}: fast mode changed the printed adaptor IR"
+    assert print_module(fast.ir_module) == print_module(guarded.ir_module), (
+        f"{kernel}: the fast path changed the printed adaptor IR"
     )
     assert _lint_fingerprint(fast.lint_report) == _lint_fingerprint(
-        baseline.lint_report
-    ), f"{kernel}: fast mode changed the lint report"
+        guarded.lint_report
+    ), f"{kernel}: the fast path changed the lint report"
     # Per-pass rewrite statistics feed Fig. 3; fusion must not change them.
     assert [
-        (s.name, s.rewrites, s.details) for s in fast.adaptor_report.passes
+        (s.name, s.rewrites, s.details, sorted(s.touched))
+        for s in fast.adaptor_report.passes
     ] == [
-        (s.name, s.rewrites, s.details) for s in baseline.adaptor_report.passes
-    ], f"{kernel}: fast mode changed per-pass statistics"
+        (s.name, s.rewrites, s.details, sorted(s.touched))
+        for s in guarded.adaptor_report.passes
+    ], f"{kernel}: the fast path changed per-pass statistics"
     assert (
         fast.synth_report.latency_min,
         fast.synth_report.latency_max,
         fast.synth_report.resources,
     ) == (
-        baseline.synth_report.latency_min,
-        baseline.synth_report.latency_max,
-        baseline.synth_report.resources,
-    ), f"{kernel}: fast mode changed the synthesis estimate"
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_fast_mode_matches_committed_goldens(kernel, monkeypatch):
-    path = os.path.join(GOLDEN_DIR, f"{kernel}.ll")
-    if not os.path.exists(path):
-        pytest.skip(f"no golden snapshot for {kernel}")
-    result = _compile(kernel, fast=True, monkeypatch=monkeypatch)
-    with open(path) as fh:
-        golden = fh.read()
-    assert print_module(result.ir_module) == golden, (
-        f"{kernel}: fast-mode output diverged from the golden snapshot"
+        guarded.synth_report.latency_min,
+        guarded.synth_report.latency_max,
+        guarded.synth_report.resources,
+    ), f"{kernel}: the fast path changed the synthesis estimate"
+    assert fast_registry.as_dict() == guarded_registry.as_dict(), (
+        f"{kernel}: the fast path changed the statistics counters"
     )
+    assert [s.name for s in fast_tracer.by_category("pass")] == [
+        s.name for s in guarded_tracer.by_category("pass")
+    ], f"{kernel}: the fast path changed the pass-span sequence"
+    assert not list(tmp_path.iterdir()), "a guarded pass wrote a reproducer"

@@ -1,18 +1,18 @@
 """Fused-pipeline attribution tests.
 
-Fast mode runs maximal runs of plain function passes in a *single walk*
-over the module (one pass-ordering barrier instead of N module
-traversals).  Fusion is an execution strategy, not a semantic change, so
-everything observable must match the N-walk baseline: the transformed IR,
-the category-``"pass"`` span sequence, per-pass rewrite statistics and
-touched sets, and the instruction-churn ledger.  These tests pin that on
-three suite kernels.
+An unguarded pass manager runs maximal runs of plain function passes in a
+*single walk* over the module (one pass-ordering barrier instead of N
+module traversals).  Fusion is an execution strategy, not a semantic
+change, so everything observable must match the N-walk path a guarded
+manager takes: the transformed IR, the category-``"pass"`` span sequence,
+per-pass rewrite statistics and touched sets, and the instruction-churn
+ledger.  These tests pin that on three suite kernels.
 
-The exception is diagnosis: a guarded manager never fuses, because
-rollback and blame need per-pass snapshots and per-pass verification.
-The fault-injection tests prove the guard still attributes an injected
-crash/corruption to the *logical* pass and rolls the module back to that
-pass's pre-state even when fast mode is on.
+The guarded path is the reference because diagnosis needs it: a guarded
+manager never fuses, since rollback and blame need per-pass snapshots and
+per-pass verification.  The fault-injection tests prove the guard
+attributes an injected crash/corruption to the *logical* pass and rolls
+the module back to that pass's pre-state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 
 from repro.diagnostics.errors import PassExecutionError, PassVerificationError
 from repro.diagnostics.guard import PassGuard
-from repro.ir.fastpath import FAST_ENV_VAR
 from repro.ir.printer import print_module
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.ir.transforms.pass_manager import FunctionPass
@@ -51,8 +50,7 @@ def _cleanup_input(kernel: str) -> bytes:
     return pickle.dumps(module)
 
 
-def _run_cleanup(blob: bytes, fast: bool, monkeypatch, guard=None):
-    monkeypatch.setenv(FAST_ENV_VAR, "1" if fast else "0")
+def _run_cleanup(blob: bytes, guard=None):
     module = pickle.loads(blob)
     tracer = Tracer()
     registry = StatisticsRegistry()
@@ -70,39 +68,37 @@ def _attribution(stats):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_fused_walk_matches_nwalk_attribution(kernel, monkeypatch):
+def test_fused_walk_matches_nwalk_attribution(kernel):
     blob = _cleanup_input(kernel)
-    mod_off, stats_off, tracer_off, reg_off = _run_cleanup(
-        blob, fast=False, monkeypatch=monkeypatch
+    mod_nwalk, stats_nwalk, tracer_nwalk, reg_nwalk = _run_cleanup(
+        blob, guard=PassGuard(kind="ir")
     )
-    mod_on, stats_on, tracer_on, reg_on = _run_cleanup(
-        blob, fast=True, monkeypatch=monkeypatch
-    )
+    mod_fused, stats_fused, tracer_fused, reg_fused = _run_cleanup(blob)
 
-    assert print_module(mod_on) == print_module(mod_off), (
+    assert print_module(mod_fused) == print_module(mod_nwalk), (
         f"{kernel}: fusion changed the transformed IR"
     )
-    assert _attribution(stats_on) == _attribution(stats_off), (
+    assert _attribution(stats_fused) == _attribution(stats_nwalk), (
         f"{kernel}: fusion changed per-pass statistics"
     )
-    # The span *tree* differs (fast mode defers verification), but the
+    # The span *tree* differs (the fused run defers verification), but the
     # category-"pass" sequence — the trace consumers key on — must not.
-    spans_off = [s.name for s in tracer_off.by_category("pass")]
-    spans_on = [s.name for s in tracer_on.by_category("pass")]
-    assert spans_on == spans_off, f"{kernel}: fusion changed the span sequence"
+    spans_nwalk = [s.name for s in tracer_nwalk.by_category("pass")]
+    spans_fused = [s.name for s in tracer_fused.by_category("pass")]
+    assert spans_fused == spans_nwalk, f"{kernel}: fusion changed the span sequence"
     # The churn ledger only ever records pass work (never verification),
     # so the registries must agree counter for counter.
-    assert reg_on.as_dict() == reg_off.as_dict(), (
+    assert reg_fused.as_dict() == reg_nwalk.as_dict(), (
         f"{kernel}: fusion changed the instruction-churn ledger"
     )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_fused_pass_spans_tile_monotonically(kernel, monkeypatch):
+def test_fused_pass_spans_tile_monotonically(kernel):
     """Fused per-pass spans are synthesized after the walk; they must
     still read as a monotonic, non-overlapping timeline for trace export."""
     blob = _cleanup_input(kernel)
-    _, _, tracer, _ = _run_cleanup(blob, fast=True, monkeypatch=monkeypatch)
+    _, _, tracer, _ = _run_cleanup(blob)
     spans = tracer.by_category("pass")
     assert spans
     for prev, cur in zip(spans, spans[1:]):
@@ -111,23 +107,21 @@ def test_fused_pass_spans_tile_monotonically(kernel, monkeypatch):
         )
 
 
-def test_cleanup_pipeline_fuses_into_one_walk(monkeypatch):
-    monkeypatch.setenv(FAST_ENV_VAR, "1")
+def test_cleanup_pipeline_fuses_into_one_walk():
     pm = standard_cleanup_pipeline()
     assert all(
         isinstance(p, FunctionPass)
         and type(p).run_on_module is FunctionPass.run_on_module
         for p in pm.passes
     )
-    plan = pm._plan(fast=True)
+    plan = pm._plan()
     assert [len(group) for group in plan] == [len(pm.passes)]
 
 
-def test_guard_disables_fusion(monkeypatch):
-    monkeypatch.setenv(FAST_ENV_VAR, "1")
+def test_guard_disables_fusion():
     pm = standard_cleanup_pipeline()
     pm.guard = PassGuard(kind="ir")
-    plan = pm._plan(fast=True)
+    plan = pm._plan()
     assert [len(group) for group in plan] == [1] * len(pm.passes)
 
 
@@ -141,10 +135,9 @@ def _faulted_pipeline(target: str, mode: str, guard):
     return pm
 
 
-def test_injected_crash_rolls_back_to_pre_pass_state(monkeypatch, tmp_path):
+def test_injected_crash_rolls_back_to_pre_pass_state(tmp_path):
     """Fault mode "raise" dirties the module then raises mid-pass; the
     guard must blame the logical pass and restore its pre-pass snapshot."""
-    monkeypatch.setenv(FAST_ENV_VAR, "1")
     blob = _cleanup_input("gemm")
     module = pickle.loads(blob)
     guard = PassGuard(kind="ir", reproducer_dir=str(tmp_path))
@@ -161,12 +154,9 @@ def test_injected_crash_rolls_back_to_pre_pass_state(monkeypatch, tmp_path):
     assert [s.name for s in pm.history] == ["mem2reg", "sccp"]
 
 
-def test_injected_corruption_is_blamed_on_the_faulted_pass(
-    monkeypatch, tmp_path
-):
-    """With a guard, fast mode still verifies after *every* pass, so a
-    corrupting pass is caught immediately — not at the pipeline flush."""
-    monkeypatch.setenv(FAST_ENV_VAR, "1")
+def test_injected_corruption_is_blamed_on_the_faulted_pass(tmp_path):
+    """A guarded manager verifies after *every* pass, so a corrupting pass
+    is caught immediately — not at the pipeline flush."""
     module = pickle.loads(_cleanup_input("gemm"))
     guard = PassGuard(kind="ir", reproducer_dir=str(tmp_path))
     pm = _faulted_pipeline("sccp", "corrupt-operand", guard)
@@ -179,11 +169,10 @@ def test_injected_corruption_is_blamed_on_the_faulted_pass(
     verify_module(module)
 
 
-def test_unguarded_fast_mode_still_detects_corruption(monkeypatch):
+def test_unguarded_fast_mode_still_detects_corruption():
     """Without a guard, detection is never lost: the wrapper is an
     untrusted module pass, so deferral resolves to an immediate full
     verify that still blames it by name."""
-    monkeypatch.setenv(FAST_ENV_VAR, "1")
     module = pickle.loads(_cleanup_input("gemm"))
     pm = _faulted_pipeline("sccp", "corrupt-operand", None)
     with pytest.raises(PassVerificationError) as excinfo:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.diagnostics import PassGuard
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.observability import (
     NULL_TRACER,
@@ -15,7 +16,7 @@ from repro.observability import (
     use_tracer,
 )
 
-from ..conftest import build_axpy_module
+from ..conftest import build_axpy_module, lowered_gemm_ir
 
 
 def assert_well_nested(span: Span) -> None:
@@ -118,20 +119,27 @@ class TestPassSpans:
         ]
         assert span_rewrites == [st.rewrites for st in stats]
 
-    def test_each_pass_followed_by_verify_child_span(self, axpy_module, monkeypatch):
-        # Baseline (fast mode off): one verify span per executed pass.
-        monkeypatch.setenv("REPRO_IR_FAST", "0")
+    def test_each_pass_followed_by_verify_child_span(self):
+        # A guarded manager verifies after every pass, narrowed to the
+        # functions it touched: one verify span per pass that touched one.
+        _, module = lowered_gemm_ir()
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()
-            pm.run(axpy_module)
-        verifies = tracer.find("verify")
-        assert len(verifies) == len(pm.history)
+            pm.guard = PassGuard(kind="ir")
+            pm.run(module)
+        touched = [bool(st.touched) for st in pm.history]
+        assert any(touched), "cleanup pipeline touched nothing"
+        verified = [
+            [c.name for c in span.children] == ["verify"]
+            for span in tracer.by_category("pass")
+        ]
+        assert verified == touched
+        assert len(tracer.find("verify")) == sum(touched)
 
-    def test_fast_mode_verifies_at_most_once_per_group(self, axpy_module, monkeypatch):
-        # Fast mode fuses the (all-function-pass) cleanup pipeline into a
+    def test_fast_mode_verifies_at_most_once_per_group(self, axpy_module):
+        # Unguarded, the (all-function-pass) cleanup pipeline fuses into a
         # single walk verified once; pass spans are still one per pass.
-        monkeypatch.setenv("REPRO_IR_FAST", "1")
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()
