@@ -30,12 +30,21 @@ __all__ = ["AdaptorFlowResult", "run_adaptor_flow"]
 
 @dataclass
 class AdaptorFlowResult:
+    """One kernel's trip through the adaptor flow.
+
+    ``ir_module`` is the adapted module the backend synthesized and
+    ``modern_ir_module`` the pre-adaptor snapshot (only with
+    ``keep_modern_snapshot``).  :func:`run_adaptor_flow` always sets
+    ``ir_module``; rows served by :mod:`repro.service` carry results only,
+    so there both fields are ``None``.
+    """
+
     kernel: str
-    ir_module: Module
+    ir_module: Optional[Module]
     adaptor_report: AdaptorReport
     synth_report: SynthReport
     timings: Dict[str, float] = field(default_factory=dict)
-    modern_ir_module: Optional[Module] = None  # pre-adaptor snapshot
+    modern_ir_module: Optional[Module] = None
     raw_instruction_count: int = 0  # straight out of MLIR lowering
 
     @property

@@ -81,6 +81,16 @@ def retention_metrics(module: Module, raw_instructions: int = 0) -> RetentionMet
 
 @dataclass
 class FlowComparison:
+    """Both flows' results for one kernel under one config.
+
+    From :func:`compare_flows` the two flow results hold their final IR
+    modules.  Rows from :mod:`repro.service` (compiled or cached, local or
+    through the daemon) hold ``None`` there: a row carries results
+    (latency, resources, equivalence verdict, lint, retention metrics),
+    not IR.  Retention metrics and the equivalence check are computed
+    from the modules before they are dropped.
+    """
+
     kernel: str
     config: str
     adaptor: AdaptorFlowResult

@@ -7,7 +7,7 @@ Stages are guarded like the adaptor flow's: unstructured failures become
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from ..backends import HLSBackend, create_backend
 from ..hls.report import SynthReport
@@ -23,9 +23,16 @@ __all__ = ["CppFlowResult", "run_cpp_flow"]
 
 @dataclass
 class CppFlowResult:
+    """One kernel's trip through the HLS-C++ flow.
+
+    ``ir_module`` is the frontend's module after cleanup, the one the
+    backend synthesized.  :func:`run_cpp_flow` always sets it; rows served
+    by :mod:`repro.service` carry results only, so there it is ``None``.
+    """
+
     kernel: str
     cpp_source: str
-    ir_module: Module
+    ir_module: Optional[Module]
     synth_report: SynthReport
     timings: Dict[str, float] = field(default_factory=dict)
     raw_instruction_count: int = 0  # straight out of the C frontend

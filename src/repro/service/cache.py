@@ -9,7 +9,7 @@ Layout (under the cache root)::
 
 Each entry file is a one-line JSON header followed by a pickled payload::
 
-    {"format": 4, "key": ..., "shard": "ab", "kernel": ..., "config": ...,
+    {"format": 5, "key": ..., "shard": "ab", "kernel": ..., "config": ...,
      "payload_sha256": ..., "payload_bytes": N}\\n
     <pickle bytes>
 
@@ -93,33 +93,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            stores=self.stores,
-            corrupt=self.corrupt,
-            hit_seconds=self.hit_seconds,
-            store_seconds=self.store_seconds,
-            mem_hits=self.mem_hits,
-            mem_stores=self.mem_stores,
-            mem_evictions=self.mem_evictions,
-        )
-
-    def since(self, before: "CacheStats") -> "CacheStats":
-        """Counter delta between this snapshot and an earlier one."""
-        return CacheStats(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            stores=self.stores - before.stores,
-            corrupt=self.corrupt - before.corrupt,
-            hit_seconds=self.hit_seconds - before.hit_seconds,
-            store_seconds=self.store_seconds - before.store_seconds,
-            mem_hits=self.mem_hits - before.mem_hits,
-            mem_stores=self.mem_stores - before.mem_stores,
-            mem_evictions=self.mem_evictions - before.mem_evictions,
-        )
-
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
         self.misses += other.misses
@@ -132,13 +105,18 @@ class CacheStats:
         self.mem_evictions += other.mem_evictions
 
     def summary(self) -> str:
+        # A batch report counts from its rows and knows no corruption or
+        # store time, so fields at zero stay out of the line.
         text = (
             f"{self.hits} hit(s) / {self.misses} miss(es) "
-            f"({self.hit_rate:.0%} hit rate), {self.stores} store(s), "
-            f"{self.corrupt} corrupt, "
-            f"load {self.hit_seconds * 1e3:.1f} ms, "
-            f"store {self.store_seconds * 1e3:.1f} ms"
+            f"({self.hit_rate:.0%} hit rate), {self.stores} store(s)"
         )
+        if self.corrupt:
+            text += f", {self.corrupt} corrupt"
+        if self.hit_seconds:
+            text += f", load {self.hit_seconds * 1e3:.1f} ms"
+        if self.store_seconds:
+            text += f", store {self.store_seconds * 1e3:.1f} ms"
         if self.mem_hits or self.mem_evictions:
             text += (
                 f"; mem tier {self.mem_hits} hit(s), "

@@ -14,9 +14,11 @@ What the daemon adds over the one-shot service:
   it carries the in-memory LRU tier
   (:class:`~repro.service.tiers.TieredCompilationCache`): repeat
   requests are served from memory without touching disk.
-* **Request coalescing.**  In-flight compiles are registered by cache
-  fingerprint; a request whose fingerprint is already compiling *joins*
-  that compile instead of starting its own.  N concurrent identical
+* **Request coalescing.**  In-flight compiles are registered by their
+  cache key (:meth:`CompilationService.request_key`, so requests that
+  differ in backend, config, sizes, seed or equivalence never share a
+  compile); a request whose key is already compiling *joins* that
+  compile instead of starting its own.  N concurrent identical
   requests cost exactly one ``compare_flows`` run (the
   ``service.compiles`` counter is the receipt; joiners bump
   ``service.coalesced``).
@@ -24,9 +26,6 @@ What the daemon adds over the one-shot service:
   requests would exceed ``max_queue``, the batch is rejected outright
   with ``REPRO-SVC-004`` — the queue never grows unboundedly, and the
   client knows to back off (nothing was partially compiled).
-* **Kernel-fingerprint memoisation.**  Hashing a kernel's printed MLIR
-  dominates a warm lookup, and it is pure in (kernel, sizes), so the
-  daemon memoises it process-wide.
 
 Thread model: one accept thread, one handler thread per connection,
 handler threads run requests under the daemon's shared (thread-safe)
@@ -45,7 +44,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..diagnostics.engine import DiagnosticEngine
 from ..diagnostics.errors import ProtocolError
 from ..observability import StatisticsRegistry, use_statistics
-from .fingerprint import cache_key, kernel_fingerprint
 from .protocol import (
     PROTOCOL_VERSION,
     decode_line,
@@ -152,9 +150,6 @@ class CompileDaemon:
         self._inflight: Dict[str, _Inflight] = {}
         self._state_lock = threading.Lock()
         self._depth = 0
-        # kernel_fingerprint is pure in (kernel, sorted sizes): memoise it
-        # so warm lookups skip the rebuild-and-print of the module.
-        self._kernel_hashes: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], str] = {}
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> str:
@@ -303,23 +298,14 @@ class CompileDaemon:
 
     # -- compile: admission, coalescing, execution ---------------------------
     def _fingerprint(self, request) -> str:
-        """The cache key of a *resolved* request, with the kernel-IR hash
-        memoised across the daemon's lifetime."""
-        memo_key = (request.kernel, tuple(sorted(request.sizes.items())))
-        with self._state_lock:
-            kernel_hash = self._kernel_hashes.get(memo_key)
-        if kernel_hash is None:
-            kernel_hash = kernel_fingerprint(request.kernel, request.sizes)
-            with self._state_lock:
-                self._kernel_hashes[memo_key] = kernel_hash
-        return cache_key(
+        """The coalescing key of a *resolved* request: its cache key."""
+        return self.service.request_key(
             request.kernel,
             request.sizes,
             request.config,
-            device=self.service.device,
-            check_equivalence=request.check_equivalence,
-            seed=request.seed,
-            kernel_hash=kernel_hash,
+            request.check_equivalence,
+            request.seed,
+            request.backend,
         )
 
     def _handle_compile(self, message: Dict[str, Any]) -> Dict[str, Any]:

@@ -12,14 +12,15 @@ key hashes everything the comparison depends on:
   plus an explicit :data:`PIPELINE_VERSION` bump constant for semantic
   changes that keep the rosters intact;
 * **run parameters** — device, equivalence seed, whether equivalence was
-  checked.
+  checked, and the synthesis backend id.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..adaptor.pipeline import ADAPTOR_PASS_ORDER, ESSENTIAL_PASSES
 from ..flows.config import OptimizationConfig
@@ -58,7 +59,10 @@ PIPELINE_VERSION = 5
 #: 4: the store moved from a flat ``entries/`` tree to sharded
 #: ``shards/<prefix>/`` segments with a layout manifest; an old flat
 #: tree is never read, so such a cache starts cold.
-CACHE_FORMAT_VERSION = 4
+#: 5: rows are stored without the flows' final IR modules
+#: (``adaptor.ir_module``, ``adaptor.modern_ir_module`` and
+#: ``cpp.ir_module`` are ``None``); a format-4 entry still carries them.
+CACHE_FORMAT_VERSION = 5
 
 
 def _sha256(text: str) -> str:
@@ -102,13 +106,31 @@ def config_fingerprint(config: OptimizationConfig) -> str:
 def kernel_fingerprint(kernel_name: str, sizes: Dict[str, int]) -> str:
     """Hash of the kernel's *pre-config* MLIR module.
 
-    Builds a fresh spec and prints it, so the hash tracks the builder's
-    actual output: a change to a kernel builder invalidates its entries.
+    The hash tracks the builder's actual output: a change to a kernel
+    builder invalidates its entries.  Building and printing the module is
+    most of a cache key's cost, so the hash is memoised per process on
+    (kernel name, its ``KERNEL_BUILDERS`` entry, sorted sizes); swapping
+    the builder registered under a name therefore re-hashes.
     """
+    from ..workloads.polybench import KERNEL_BUILDERS
+
+    return _kernel_ir_hash(
+        kernel_name, KERNEL_BUILDERS.get(kernel_name), tuple(sorted(sizes.items()))
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel_ir_hash(
+    kernel_name: str,
+    builder: Optional[Callable],
+    sizes: Tuple[Tuple[str, int], ...],
+) -> str:
+    # ``builder`` is only part of the memo key; build_kernel looks it up
+    # again (and raises the registry's error for an unknown name).
     from ..mlir.printer import print_module
     from ..workloads.polybench import build_kernel
 
-    spec = build_kernel(kernel_name, **sizes)
+    spec = build_kernel(kernel_name, **dict(sizes))
     return _sha256(print_module(spec.module))
 
 
@@ -119,20 +141,16 @@ def cache_key(
     device: str = "xc7z020",
     check_equivalence: bool = True,
     seed: int = 0,
-    kernel_hash: Optional[str] = None,
     backend: str = "static",
 ) -> str:
     """The content-addressed key for one flow comparison.
 
     ``backend`` is the synthesis backend id (``repro.backends``): the
     same kernel/config pair produces different numbers under different
-    engines, so rows must never be shared across backends.
-    ``kernel_hash`` lets callers that already computed the kernel
-    fingerprint (e.g. a batch run hashing each kernel once) skip the
-    rebuild."""
+    engines, so rows must never be shared across backends."""
     payload = {
         "kernel": kernel_name,
-        "kernel_ir": kernel_hash or kernel_fingerprint(kernel_name, sizes),
+        "kernel_ir": kernel_fingerprint(kernel_name, sizes),
         "sizes": dict(sorted(sizes.items())),
         "config": config_fingerprint(config),
         "pipeline": pipeline_fingerprint(),

@@ -15,9 +15,13 @@ flow comparisons through it:
   one config across every (or the named) suite kernel.
 
 Results are :class:`repro.flows.FlowComparison` objects stamped with
-cache provenance (``cache_status`` ``"hit"``/``"miss"``), and every suite
-run returns a :class:`SuiteReport` carrying wall-clock, per-kernel and
-cache hit/miss/timing statistics for the flow report.
+cache provenance (``cache_status`` ``"hit"``/``"miss"``) and stripped of
+the flows' final IR modules: a row carries results (latency, resources,
+equivalence, lint, retention metrics), not IR, so the cache, the daemon
+wire and worker returns move a few kB per row.  Callers that need the
+modules run :func:`repro.flows.compare_flows` directly.  Every suite run
+returns a :class:`SuiteReport` carrying wall-clock, per-kernel and cache
+hit/miss statistics for the flow report.
 """
 
 from __future__ import annotations
@@ -136,6 +140,9 @@ class SuiteReport:
     jobs: int
     comparisons: List[FlowComparison] = field(default_factory=list)
     seconds: float = 0.0  # wall clock for the whole batch
+    # Counted from this batch's own rows (see _row_cache_stats), never
+    # from the shared cache handle, so concurrent batches cannot leak
+    # into each other's numbers.
     cache_stats: CacheStats = field(default_factory=CacheStats)
     cache_root: str = ""
     # One record per request: ok / retried-then-ok / failed / timed-out.
@@ -291,10 +298,6 @@ def _compile_job(payload: dict):
     under its own tracer/registry and returns the comparison (with its
     serialized span tree attached) plus the counter dump for the parent to
     merge.
-
-    When the chaos harness is armed, the payload carries a per-request
-    fault ``plan`` plus the current ``attempt``; crash/hang/slow faults
-    fire *before* the compile, corrupt-on-write *after* it.
     """
     service = CompilationService(
         cache_dir=payload["cache_dir"],
@@ -304,38 +307,40 @@ def _compile_job(payload: dict):
     )
     from ..observability import NULL_STATISTICS, NULL_TRACER
 
-    plan = payload.get("chaos")
-    attempt = payload.get("attempt", 1)
-    if plan:
-        from ..testing.chaos import apply_chaos
-
-        apply_chaos(plan, attempt)
     tracer = Tracer(name=payload["kernel"]) if payload.get("trace") else NULL_TRACER
     registry = StatisticsRegistry() if payload.get("stats") else NULL_STATISTICS
     with use_tracer(tracer), use_statistics(registry):
-        comparison = service.compile_one(
-            payload["kernel"],
-            payload["config"],
-            sizes=payload["sizes"],
-            check_equivalence=payload["check_equivalence"],
-            seed=payload["seed"],
-            backend=payload.get("backend"),
-        )
-    if plan and plan.get("fault") == "corrupt-cache":
-        from ..testing.chaos import corrupt_after_write
-
-        key = cache_key(
-            payload["kernel"],
-            payload["sizes"],
-            payload["config"],
-            device=payload["device"],
-            check_equivalence=payload["check_equivalence"],
-            seed=payload["seed"],
-            backend=service.backend,
-        )
-        corrupt_after_write(plan, attempt, service.cache, key)
+        comparison = service._run_payload(payload)
     counters = registry.as_dict() if registry.enabled else None
     return comparison, service.cache.stats, counters
+
+
+def _row_cache_stats(rows: Sequence[FlowComparison]) -> CacheStats:
+    """A batch's cache statistics, counted from its own rows.
+
+    Every row is one lookup: a hit, or a miss that was compiled and
+    stored.  ``hit_seconds`` sums the hit rows' ``lookup_seconds``.  The
+    rows do not record memory-tier hits, corruption or store time, so
+    those fields stay zero here; the handle's ``cache.stats`` and the
+    ``cache.*`` counters keep them as process-wide totals.
+    """
+    stats = CacheStats()
+    for row in rows:
+        if row.cache_status == "hit":
+            stats.hits += 1
+            stats.hit_seconds += row.lookup_seconds
+        elif row.cache_status == "miss":
+            stats.misses += 1
+            stats.stores += 1
+    return stats
+
+
+def _without_ir(comparison: FlowComparison) -> FlowComparison:
+    """``comparison`` with the flows' final IR modules dropped (in place)."""
+    comparison.adaptor.ir_module = None
+    comparison.adaptor.modern_ir_module = None
+    comparison.cpp.ir_module = None
+    return comparison
 
 
 class CompilationService:
@@ -391,6 +396,32 @@ class CompilationService:
             self.cache = CompilationCache(cache_dir, engine=self.engine)
 
     # -- single kernel ------------------------------------------------------
+    def request_key(
+        self,
+        kernel: str,
+        sizes: Dict[str, int],
+        config: Union[str, OptimizationConfig],
+        check_equivalence: bool = True,
+        seed: int = 17,
+        backend: Optional[str] = None,
+    ) -> str:
+        """The cache key :meth:`compile_one` files this request under.
+
+        ``backend`` ``None`` means the service's default.  The daemon
+        coalesces in-flight requests on this key and the chaos hooks
+        address the entry a compile just wrote through it, so all three
+        agree by construction.
+        """
+        return cache_key(
+            kernel,
+            sizes,
+            resolve_config(config),
+            device=self.device,
+            check_equivalence=check_equivalence,
+            seed=seed,
+            backend=resolve_backend_id(backend or self.backend),
+        )
+
     def compile_one(
         self,
         kernel: str,
@@ -409,6 +440,10 @@ class CompilationService:
         ``cache_status="hit"``, their *original* ``compile_seconds``
         untouched, and the cost of the lookup itself in
         ``lookup_seconds`` — the two are never conflated.
+
+        Hit or miss, the row's ``adaptor.ir_module``,
+        ``adaptor.modern_ir_module`` and ``cpp.ir_module`` are ``None``;
+        call :func:`repro.flows.compare_flows` for the modules.
         """
         config_obj = resolve_config(config)
         sizes = sizes if sizes is not None else _sizes_for(size_class, kernel)
@@ -417,14 +452,8 @@ class CompilationService:
             f"compile:{kernel}", category="service",
             kernel=kernel, config=config_obj.name, backend=backend_id,
         ) as span:
-            key = cache_key(
-                kernel,
-                sizes,
-                config_obj,
-                device=self.device,
-                check_equivalence=check_equivalence,
-                seed=seed,
-                backend=backend_id,
+            key = self.request_key(
+                kernel, sizes, config_obj, check_equivalence, seed, backend_id
             )
             lookup_start = time.perf_counter()
             cached = self.cache.load(key)
@@ -433,12 +462,12 @@ class CompilationService:
                 cached.cache_status = "hit"
                 cached.lookup_seconds = lookup_elapsed
                 span.set(cache="hit")
-                return cached
+                return _without_ir(cached)
             # The coalescing property test counts underlying compiles
             # through this: one bump per actual compare_flows run, none
             # for hits or coalesced joins.
             get_statistics().bump("service", "compiles")
-            comparison = compare_flows(
+            comparison = _without_ir(compare_flows(
                 kernel,
                 sizes,
                 config_obj,
@@ -446,7 +475,7 @@ class CompilationService:
                 check_equivalence=check_equivalence,
                 seed=seed,
                 backend=backend_id,
-            )
+            ))
             comparison.cache_status = "miss"
             comparison.lookup_seconds = lookup_elapsed
             span.set(cache="miss")
@@ -554,9 +583,8 @@ class CompilationService:
             jobs=self.jobs, kernels=len(payloads),
         ) as suite_span:
             if self.jobs == 1 or len(payloads) <= 1:
-                before = self.cache.stats.snapshot()
                 outcomes, results = run_serial(
-                    self._serial_job,
+                    self._run_payload,
                     payloads,
                     policy=policy,
                     labels=labels,
@@ -568,7 +596,6 @@ class CompilationService:
                     if outcome.index in results:
                         outcome.comparison_index = len(report.comparisons)
                         report.comparisons.append(results[outcome.index])
-                report.cache_stats.merge(self.cache.stats.since(before))
             else:
                 executor = ResilientExecutor(
                     _compile_job,
@@ -588,12 +615,12 @@ class CompilationService:
                         comparison, stats, counters = results[outcome.index]
                         outcome.comparison_index = len(report.comparisons)
                         report.comparisons.append(comparison)
-                        report.cache_stats.merge(stats)
+                        # Surface the worker's stats on this handle, so a
+                        # caller polling ``service.cache.stats`` sees them.
+                        self.cache.stats.merge(stats)
                         if counters:
                             registry.merge(counters)
-                # Surface the merged worker stats on this handle too, so a
-                # caller polling ``service.cache.stats`` sees the batch.
-                self.cache.stats.merge(report.cache_stats)
+            report.cache_stats = _row_cache_stats(report.comparisons)
             suite_span.set(
                 hits=report.cache_stats.hits, misses=report.cache_stats.misses
             )
@@ -611,10 +638,15 @@ class CompilationService:
         report.seconds = time.perf_counter() - start
         return report
 
-    def _serial_job(self, payload: dict) -> FlowComparison:
-        """In-process mirror of :func:`_compile_job` (the ``jobs=1`` path):
-        same chaos hooks, but compiling through this handle's own cache
-        object, so the batch's cache-stat accounting stays on it."""
+    def _run_payload(self, payload: dict) -> FlowComparison:
+        """One batch payload through this handle's cache: the ``jobs=1``
+        path runs it directly, :func:`_compile_job` on a worker's private
+        handle.
+
+        When the chaos harness is armed, the payload carries a per-request
+        fault ``plan`` plus the current ``attempt``; crash/hang/slow faults
+        fire *before* the compile, corrupt-on-write *after* it.
+        """
         plan = payload.get("chaos")
         attempt = payload.get("attempt", 1)
         if plan:
@@ -632,14 +664,13 @@ class CompilationService:
         if plan and plan.get("fault") == "corrupt-cache":
             from ..testing.chaos import corrupt_after_write
 
-            key = cache_key(
+            key = self.request_key(
                 payload["kernel"],
                 payload["sizes"],
                 payload["config"],
-                device=payload["device"],
-                check_equivalence=payload["check_equivalence"],
-                seed=payload["seed"],
-                backend=payload.get("backend") or self.backend,
+                payload["check_equivalence"],
+                payload["seed"],
+                payload.get("backend"),
             )
             corrupt_after_write(plan, attempt, self.cache, key)
         return comparison

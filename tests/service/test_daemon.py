@@ -46,9 +46,11 @@ def semantic(comparison):
     return {
         "kernel": comparison.kernel,
         "config": comparison.config,
+        "backend": comparison.backend,
         "adaptor_latency": comparison.adaptor.latency,
         "adaptor_resources": dict(comparison.adaptor.resources),
         "cpp_latency": comparison.cpp.latency,
+        "cpp_resources": dict(comparison.cpp.resources),
         "equivalent": comparison.functionally_equivalent,
         "max_abs_error": comparison.max_abs_error,
         "lint": comparison.lint,
@@ -202,6 +204,34 @@ class TestCoalescing:
         assert daemon.registry.group("service")["coalesced"] == 2
         rendered = [semantic(c) for c in report.comparisons]
         assert rendered[0] == rendered[1] == rendered[2]
+
+    def test_mixed_backend_batch_matches_in_process(self, tmp_path, daemon):
+        """Requests that differ only in backend are distinct compiles: the
+        coalescing key is the cache key, backend included."""
+        requests = [
+            CompileRequest(
+                kernel="gemm", config="baseline", size_class="MINI",
+                check_equivalence=False, backend=backend,
+            )
+            for backend in ("static", "dataflow")
+        ]
+        local = CompilationService(cache_dir=str(tmp_path / "local"))
+        local_report = local.compile_batch(requests)
+        with DaemonClient(daemon.address) as client:
+            remote_report = client.compile_batch(requests)
+        assert [c.backend for c in remote_report.comparisons] == [
+            "static", "dataflow"
+        ]
+        assert [semantic(c) for c in remote_report.comparisons] == [
+            semantic(c) for c in local_report.comparisons
+        ]
+        assert daemon.registry.group("service")["compiles"] == 2
+        assert daemon.registry.group("service").get("coalesced", 0) == 0
+        # Rows cross the wire without the flows' IR modules.
+        for row in remote_report.comparisons:
+            assert row.adaptor.ir_module is None
+            assert row.adaptor.modern_ir_module is None
+            assert row.cpp.ir_module is None
 
     def test_distinct_requests_do_not_coalesce(self, daemon):
         with DaemonClient(daemon.address) as client:
