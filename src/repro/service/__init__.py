@@ -4,7 +4,8 @@ Scales the flow-comparison workload the way the ROADMAP's batch-DSE
 consumers (SEER/Phism-style sweeps, the benchmark harness, CI) need:
 
 * :class:`CompilationService` — cache-first single compiles and
-  multi-process batch suite runs sharing one on-disk store;
+  multi-process batch suite runs sharing one on-disk store; its rows
+  carry results, not the flows' IR modules;
 * :class:`CompilationCache` — content-addressed, checksummed, atomic;
   corruption degrades to recompile with a ``REPRO-CACHE-*`` diagnostic;
 * :func:`cache_key` and friends — fingerprints over kernel IR,
@@ -13,7 +14,7 @@ consumers (SEER/Phism-style sweeps, the benchmark harness, CI) need:
 * :class:`CompileDaemon` / :class:`DaemonClient` — the long-running
   compile server (``python -m repro serve``): NDJSON socket protocol,
   hot in-memory LRU tier over the sharded disk store, in-flight request
-  coalescing by fingerprint, and bounded-queue back-pressure
+  coalescing by cache key, and bounded-queue back-pressure
   (``REPRO-SVC-004``);
 * ``python -m repro run-suite`` / ``serve`` / ``load-test`` /
   ``cache stats`` / ``cache clear`` — the CLI.
