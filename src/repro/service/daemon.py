@@ -173,7 +173,8 @@ class CompileDaemon:
         sock.listen(128)
         self._sock = sock
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-daemon-accept", daemon=True
+            target=self._accept_loop, args=(sock,),
+            name="repro-daemon-accept", daemon=True,
         )
         self._accept_thread.start()
         return self.address
@@ -191,6 +192,13 @@ class CompileDaemon:
         self._shutdown.set()
         sock, self._sock = self._sock, None
         if sock is not None:
+            # close() alone leaves a thread blocked in accept() asleep;
+            # shutdown() wakes it (accept() then fails).  Platforms that
+            # refuse shutdown() on a listener fall back to the join timeout.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:
@@ -209,12 +217,13 @@ class CompileDaemon:
                 pass
 
     # -- accept / per-connection loops ---------------------------------------
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, sock: socket.socket) -> None:
+        # ``sock`` is this loop's own reference: stop() clears ``_sock``.
         while not self._shutdown.is_set():
             try:
-                conn, _ = self._sock.accept()
+                conn, _ = sock.accept()
             except OSError:
-                return  # listener closed by stop()
+                return  # listener shut down by stop()
             thread = threading.Thread(
                 target=self._handle_connection, args=(conn,),
                 name="repro-daemon-conn", daemon=True,

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestLifecycle:
         # The listener is gone (connect-refused is not assertable on
         # loopback: an ephemeral-range port can TCP-self-connect).
         assert d._sock is None
+
+    @pytest.mark.parametrize("kind", ["tcp", "unix"])
+    def test_stop_wakes_the_accept_thread(self, tmp_path, kind):
+        address = "127.0.0.1:0" if kind == "tcp" else f"unix:{tmp_path / 'd.sock'}"
+        d = CompileDaemon(address=address, cache_dir=str(tmp_path / "cache"))
+        d.start()
+        accept_thread = d._accept_thread
+        with DaemonClient(d.address) as client:
+            assert client.ping()["status"] == "ok"
+        start = time.perf_counter()
+        d.stop()
+        assert time.perf_counter() - start < 1.0
+        assert not accept_thread.is_alive()
 
     def test_unix_socket_roundtrip_and_unlink(self, tmp_path):
         path = str(tmp_path / "daemon.sock")
