@@ -188,20 +188,25 @@ class CompilationCache:
 
     # -- store --------------------------------------------------------------
     def store(self, key: str, value: Any, meta: Optional[Dict[str, Any]] = None) -> str:
-        """Atomically persist ``value`` under ``key``; returns the path."""
+        """Atomically persist ``value`` under ``key``; returns the path.
+        ``stats.store_seconds`` times the whole call, pickling included."""
+        start = time.perf_counter()
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self.store_payload(key, payload, meta)
+        path = self.store_payload(key, payload, meta)
+        self.stats.store_seconds += time.perf_counter() - start
+        return path
 
     def store_payload(
         self, key: str, payload: bytes, meta: Optional[Dict[str, Any]] = None
     ) -> str:
         """Persist an already-pickled ``payload`` (the tiered cache pickles
-        once and shares the bytes between memory and disk tiers)."""
+        once and shares the bytes between memory and disk tiers).  Not
+        timed: the caller that pickled ``payload`` adds the whole store
+        to ``stats.store_seconds``."""
         with get_tracer().span("cache-store", category="cache", key=key[:12]):
             return self._store(key, payload, meta)
 
     def _store(self, key: str, payload: bytes, meta: Optional[Dict[str, Any]]) -> str:
-        start = time.perf_counter()
         header = {
             "format": CACHE_FORMAT_VERSION,
             "key": key,
@@ -213,7 +218,6 @@ class CompilationCache:
         self._write_manifest()
         path = self._write_entry(self.entry_path(key), header, payload)
         self.stats.stores += 1
-        self.stats.store_seconds += time.perf_counter() - start
         get_statistics().bump("cache", "stores")
         return path
 

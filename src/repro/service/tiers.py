@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
@@ -214,9 +215,11 @@ class TieredCompilationCache:
         return value
 
     def store(self, key: str, value: Any, meta: Optional[Dict[str, Any]] = None) -> str:
+        start = time.perf_counter()
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         path = self.disk.store_payload(key, payload, meta)
         self._remember(key, payload)
+        self.stats.store_seconds += time.perf_counter() - start
         return path
 
     def _remember(self, key: str, payload: bytes) -> None:

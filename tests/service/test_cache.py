@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.diagnostics.errors import CacheError
 from repro.flows import OptimizationConfig
 from repro.service import CompilationCache, CompilationService, cache_key
 from repro.service import fingerprint as fp_mod
+from repro.service.tiers import TieredCompilationCache
 from repro.workloads.suite import SUITE_SIZES
 
 GEMM_MINI = SUITE_SIZES["MINI"]["gemm"]
@@ -22,6 +24,14 @@ GEMM_MINI = SUITE_SIZES["MINI"]["gemm"]
 @pytest.fixture
 def cache(tmp_path):
     return CompilationCache(str(tmp_path / "cache"))
+
+
+class SlowPickle:
+    """A value whose pickling takes at least 20 ms."""
+
+    def __reduce__(self):
+        time.sleep(0.02)
+        return (SlowPickle, ())
 
 
 class TestStoreLoad:
@@ -58,6 +68,14 @@ class TestStoreLoad:
         assert header["kernel"] == "gemm"
         assert header["config"] == "baseline"
         assert header["key"] == "d" * 64
+
+    @pytest.mark.parametrize("make", [CompilationCache, TieredCompilationCache],
+                             ids=["disk", "tiered"])
+    def test_store_seconds_include_pickling(self, tmp_path, make):
+        cache = make(str(tmp_path / "cache"))
+        cache.store("e" * 64, SlowPickle())
+        assert cache.stats.stores == 1
+        assert cache.stats.store_seconds >= 0.02
 
     def test_clear_and_disk_stats(self, cache):
         for i in range(3):
