@@ -87,7 +87,6 @@ __all__ = [
     "Pointer",
     "InterpreterError",
     "run_kernel",
-    "run_descriptor_kernel",
 ]
 
 
@@ -182,7 +181,11 @@ def _round_float(value: float, type: FloatType) -> float:
 
 
 def _fdiv(l: float, r: float) -> float:
-    return l / r if r != 0 else math.copysign(math.inf, l) if l else math.nan
+    if r:
+        return l / r
+    if l and not math.isnan(l):  # ±inf, signed by both operands (0 may be -0)
+        return math.copysign(math.inf, l) * math.copysign(1.0, r)
+    return math.nan
 
 
 def _frem(l: float, r: float) -> float:
@@ -1104,9 +1107,11 @@ class Interpreter:
         """Execute ``function`` with ``args``.
 
         Arguments may be Python scalars (for int/float params), ``Pointer``,
-        ``MemoryBuffer`` or ``numpy.ndarray`` (converted in place semantics:
-        mutations are visible via :func:`numpy_from_buffer` on the returned
-        buffers — use :func:`run_kernel` for the ergonomic wrapper).
+        ``MemoryBuffer`` or ``numpy.ndarray``.  An ndarray is copied into a
+        private buffer, so the caller never sees the function's writes to
+        it: pass a ``MemoryBuffer`` and read it back with
+        :func:`numpy_from_buffer`, or use :func:`run_kernel`, which returns
+        the written arrays.
         """
         fn = (
             self.module.get_function(function)
@@ -1183,6 +1188,11 @@ class Interpreter:
             )
 
 
+_DESCRIPTOR_FIELD = re.compile(
+    r"^(?P<base>.+?)_(?:aligned|offset|size(?P<size>\d+)|stride(?P<stride>\d+))$"
+)
+
+
 def run_kernel(
     module: Module,
     name: str,
@@ -1194,112 +1204,49 @@ def run_kernel(
     mutated) arrays keyed by argument name.
 
     ``arrays`` maps argument name → numpy array; ``scalars`` maps argument
-    name → Python scalar.  Unknown argument names raise.
+    name → Python scalar.  An argument in neither must be a memref
+    descriptor field of an array ``X`` — ``X_aligned``, ``X_offset``,
+    ``X_sizeN`` or ``X_strideN``, the signature MLIR lowering gives the
+    pre-adaptor module — and is filled from the array's shape (row-major,
+    contiguous, zero offset), so one call runs a kernel before and after
+    the adaptor.  Any other argument raises.
     """
     scalars = scalars or {}
     fn = module.get_function(name)
     if fn is None:
         raise InterpreterError(f"no function @{name} in module")
     interp = Interpreter(module, max_steps=max_steps)
-    buffers: Dict[str, Tuple[MemoryBuffer, np.dtype, tuple]] = {}
+    buffers: Dict[str, MemoryBuffer] = {}
+
+    def pointer(key: str) -> Pointer:
+        if key not in buffers:
+            buffers[key] = buffer_from_numpy(arrays[key], key)
+        return Pointer(buffers[key], 0)
+
     call_args: List[object] = []
     for arg in fn.arguments:
         if arg.name in arrays:
-            array = arrays[arg.name]
-            buf = buffer_from_numpy(array, arg.name)
-            buffers[arg.name] = (buf, array.dtype, array.shape)
-            call_args.append(Pointer(buf, 0))
-        elif arg.name in scalars:
-            call_args.append(scalars[arg.name])
-        else:
-            raise InterpreterError(
-                f"argument {arg.name!r} of @{name} not supplied "
-                f"(have arrays={list(arrays)}, scalars={list(scalars)})"
-            )
-    with get_tracer().span(f"interpret:{name}", category="interpreter") as span:
-        interp.run(fn, call_args)
-        span.set(steps=interp.steps)
-    registry = get_statistics()
-    registry.bump("interpreter", "runs")
-    registry.bump("interpreter", "steps", interp.steps)
-    return {
-        key: numpy_from_buffer(buf, dtype, shape)
-        for key, (buf, dtype, shape) in buffers.items()
-    }
-
-
-_DESCRIPTOR_SUFFIX = re.compile(r"^(?P<base>.+?)_(?P<field>aligned|offset|size(?P<sdim>\d+)|stride(?P<tdim>\d+))$")
-
-
-def run_descriptor_kernel(
-    module: Module,
-    name: str,
-    arrays: Dict[str, np.ndarray],
-    scalars: Optional[Dict[str, object]] = None,
-    max_steps: int = 50_000_000,
-) -> Dict[str, np.ndarray]:
-    """Run a *pre-adaptor* kernel that follows the MLIR memref-descriptor
-    convention: each array argument ``X`` is expanded to ``X`` (allocated
-    pointer), ``X_aligned``, ``X_offset`` and per-dimension
-    ``X_sizeN``/``X_strideN`` i64 scalars.
-
-    Fills the descriptor fields from the NumPy shapes (row-major,
-    contiguous, zero offset) so the same ``arrays``/``scalars`` a
-    :func:`run_kernel` call takes can drive the modern module too — the
-    differential pre/post-adaptor sweep depends on exactly this.
-    """
-    scalars = scalars or {}
-    fn = module.get_function(name)
-    if fn is None:
-        raise InterpreterError(f"no function @{name} in module")
-    interp = Interpreter(module, max_steps=max_steps)
-    buffers: Dict[str, Tuple[MemoryBuffer, np.dtype, tuple]] = {}
-    call_args: List[object] = []
-
-    def strides_of(shape: tuple) -> List[int]:
-        out = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            out[i] = out[i + 1] * shape[i + 1]
-        return out
-
-    for arg in fn.arguments:
-        if arg.name in arrays:
-            array = arrays[arg.name]
-            if arg.name not in buffers:
-                buffers[arg.name] = (
-                    buffer_from_numpy(array, arg.name),
-                    array.dtype,
-                    array.shape,
-                )
-            call_args.append(Pointer(buffers[arg.name][0], 0))
+            call_args.append(pointer(arg.name))
             continue
         if arg.name in scalars:
             call_args.append(scalars[arg.name])
             continue
-        m = _DESCRIPTOR_SUFFIX.match(arg.name)
-        base = m.group("base") if m else None
-        if m and base in arrays:
-            field = m.group("field")
-            shape = arrays[base].shape
-            if field == "aligned":
-                if base not in buffers:
-                    array = arrays[base]
-                    buffers[base] = (
-                        buffer_from_numpy(array, base), array.dtype, array.shape
-                    )
-                call_args.append(Pointer(buffers[base][0], 0))
-            elif field == "offset":
-                call_args.append(0)
-            elif field.startswith("size"):
-                call_args.append(shape[int(m.group("sdim"))])
-            else:
-                call_args.append(strides_of(shape)[int(m.group("tdim"))])
-            continue
-        raise InterpreterError(
-            f"argument {arg.name!r} of @{name} not supplied and not a "
-            f"descriptor field of any array (have arrays={list(arrays)}, "
-            f"scalars={list(scalars)})"
-        )
+        field = _DESCRIPTOR_FIELD.match(arg.name)
+        if field is None or field["base"] not in arrays:
+            raise InterpreterError(
+                f"argument {arg.name!r} of @{name} not supplied "
+                f"(have arrays={list(arrays)}, scalars={list(scalars)})"
+            )
+        base, size, stride = field.group("base", "size", "stride")
+        shape = arrays[base].shape
+        if size is not None:
+            call_args.append(shape[int(size)])
+        elif stride is not None:
+            call_args.append(math.prod(shape[int(stride) + 1 :]))
+        elif arg.name.endswith("_aligned"):
+            call_args.append(pointer(base))
+        else:
+            call_args.append(0)  # X_offset
     with get_tracer().span(f"interpret:{name}", category="interpreter") as span:
         interp.run(fn, call_args)
         span.set(steps=interp.steps)
@@ -1307,6 +1254,6 @@ def run_descriptor_kernel(
     registry.bump("interpreter", "runs")
     registry.bump("interpreter", "steps", interp.steps)
     return {
-        key: numpy_from_buffer(buf, dtype, shape)
-        for key, (buf, dtype, shape) in buffers.items()
+        key: numpy_from_buffer(buf, arrays[key].dtype, arrays[key].shape)
+        for key, buf in buffers.items()
     }

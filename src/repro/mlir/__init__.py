@@ -25,7 +25,6 @@ from .core import (
 from .dialects import affine, arith, builtin, cf, func, math, memref as memref_dialect, scf
 from .dialects.builtin import ModuleOp
 from .dialects.func import FuncOp
-from .interpreter import MLIRInterpreter, MLIRInterpreterError, run_mlir_kernel
 from .parser import MLIRParseError, parse_affine_map, parse_mlir_module
 from .printer import print_module, print_operation
 from .verifier import MLIRVerificationError, verify_module
@@ -57,9 +56,6 @@ __all__ = [
     "scf",
     "ModuleOp",
     "FuncOp",
-    "MLIRInterpreter",
-    "MLIRInterpreterError",
-    "run_mlir_kernel",
     "print_module",
     "print_operation",
     "MLIRVerificationError",

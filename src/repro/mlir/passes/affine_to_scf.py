@@ -53,12 +53,16 @@ def expand_affine_expr(
         if isinstance(e, AffineBinary):
             lhs = walk(e.lhs)
             rhs = walk(e.rhs)
+            if e.kind == "mod":
+                # remsi takes the dividend's sign; affine mod is never negative.
+                rem = emit(arith.remsi(lhs, rhs))
+                negative = emit(arith.cmpi("slt", rem, emit(arith.constant(0, index))))
+                return emit(arith.select(negative, emit(arith.addi(rem, rhs)), rem))
             ctor = {
                 "+": arith.addi,
                 "-": arith.subi,
                 "*": arith.muli,
                 "floordiv": arith.floordivsi,
-                "mod": arith.remsi,
             }[e.kind]
             return emit(ctor(lhs, rhs))
         raise TypeError(f"unknown affine expr {e!r}")

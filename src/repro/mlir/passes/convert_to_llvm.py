@@ -296,19 +296,25 @@ class _FuncLowering:
             )
             self.vmap[id(op.results[0])] = result
             return
-        if name == "arith.floordivsi":
-            # floor(a / b) for positive strides == sdiv here (index math is
-            # non-negative in our lowered subscripts); emit sdiv.
-            result = builder.sdiv(
-                self._v(op.get_operand(0)), self._v(op.get_operand(1))
-            )
-            self.vmap[id(op.results[0])] = result
-            return
-        if name == "arith.ceildivsi":
+        if name in ("arith.floordivsi", "arith.ceildivsi"):
+            # MLIR's expansion: sdiv rounds toward zero, so an inexact
+            # quotient steps once toward -inf (floor) when the signs differ
+            # or toward +inf (ceil) when they agree.
+            floor = name == "arith.floordivsi"
             l = self._v(op.get_operand(0))
             r = self._v(op.get_operand(1))
-            add = builder.add(l, builder.sub(r, ConstantInt(l.type, 1)))
-            self.vmap[id(op.results[0])] = builder.sdiv(add, r)
+            zero, one = ConstantInt(l.type, 0), ConstantInt(l.type, 1)
+            quotient = builder.sdiv(l, r)
+            inexact = builder.icmp("ne", builder.mul(quotient, r), l)
+            signs = builder.icmp(
+                "ne" if floor else "eq",
+                builder.icmp("slt", l, zero),
+                builder.icmp("slt", r, zero),
+            )
+            stepped = builder.binop("sub" if floor else "add", quotient, one)
+            self.vmap[id(op.results[0])] = builder.select(
+                builder.and_(inexact, signs), stepped, quotient
+            )
             return
         float_binops = {
             "arith.addf": "fadd", "arith.subf": "fsub",

@@ -48,7 +48,10 @@ __all__ = [
 #: 5: the backend registry landed — the synthesis backend id joined the
 #: cache key and reports carry ``backend``/per-backend lint verdicts;
 #: pre-registry rows never recorded which engine produced them.
-PIPELINE_VERSION = 5
+#: 6: lowering rounds ``floordiv``/``ceildiv`` toward -inf/+inf and keeps
+#: affine ``mod`` non-negative; rows for kernels with negative operands
+#: there were computed from wrong IR.
+PIPELINE_VERSION = 6
 
 #: Bump when the on-disk entry layout changes (header schema, payload
 #: encoding).  Old entries then read back as misses, not corruption.

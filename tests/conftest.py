@@ -100,6 +100,30 @@ def lowered_gemm_ir(n: int = 4, pipeline: bool = False):
     return spec, convert_to_llvm(spec.module)
 
 
+def lower_clone(module):
+    """A clone of the mini-MLIR ``module`` lowered to modern LLVM IR.
+
+    ``lowering_pipeline()`` then ``convert_to_llvm``, with no IR cleanup;
+    ``module`` itself is left as it was, so a test can run the same
+    kernel before and after an MLIR pass.
+    """
+    from repro.mlir import ModuleOp
+    from repro.mlir.passes import convert_to_llvm, lowering_pipeline
+
+    clone = ModuleOp(module.name)
+    clone.op = module.op.clone()
+    lowering_pipeline().run(clone)
+    return convert_to_llvm(clone)
+
+
+def run_lowered(module, name, arrays, scalars=None):
+    """``run_kernel`` on :func:`lower_clone` of ``module``: the arrays'
+    copies, keyed by argument name, after kernel ``name`` ran."""
+    from repro.ir import run_kernel
+
+    return run_kernel(lower_clone(module), name, arrays, scalars)
+
+
 def rand_f32(shape, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.random(shape) * 2 - 1).astype(np.float32)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.flows import run_adaptor_flow
-from repro.ir.interpreter import run_descriptor_kernel, run_kernel
+from repro.ir.interpreter import run_kernel
 from repro.workloads import build_kernel
 from repro.workloads.suite import SUITE_SIZES
 
@@ -36,7 +36,7 @@ def test_pre_post_adaptor_differential(kernel):
     oracle = oracle_spec.reference(
         **{k: v.copy() for k, v in arrays.items()}, **oracle_spec.scalar_args
     )
-    pre = run_descriptor_kernel(
+    pre = run_kernel(
         result.modern_ir_module,
         kernel,
         {k: v.copy() for k, v in arrays.items()},

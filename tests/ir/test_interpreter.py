@@ -162,6 +162,10 @@ IEEE_CASES = [
      [irt.f32], irt.f32, [-4.0], math.nan),
     ("sqrtf-negative", _libm_call("sqrtf", irt.f32),
      [irt.f32], irt.f32, [-1.0], math.nan),
+    ("fdiv-by-negative-zero", lambda b, a: b.fdiv(a[0], a[1]),
+     [irt.f32, irt.f32], irt.f32, [1.0, -0.0], -math.inf),
+    ("fdiv-nan-by-zero", lambda b, a: b.fdiv(a[0], a[1]),
+     [irt.f64, irt.f64], irt.f64, [math.nan, 0.0], math.nan),
     ("log-zero", _libm_call("llvm.log.f64", irt.f64),
      [irt.f64], irt.f64, [0.0], -math.inf),
     ("log-negative", _libm_call("logf", irt.f32),

@@ -9,7 +9,7 @@ paper's evaluation takes through it, against ``interpreter_snapshot.json``:
   array and the step count of a ``run_kernel`` on the seed-17 inputs, plus
   ``verify_flow_equivalence``'s ``(equivalent, max_abs_error)``;
 * ``mini-descriptor/<kernel>`` — the 15 MINI kernels' pre-adaptor modules
-  under ``run_descriptor_kernel`` on the seed-5 inputs;
+  under ``run_kernel`` on the seed-5 inputs;
 * ``random/<seed>`` — 40 ``RandomModuleGenerator`` modules run with a
   fixed argument policy: the return value's ``repr`` or the exception's
   type and message, the step count and each pointer buffer's sha256.
@@ -36,7 +36,6 @@ from repro.ir.interpreter import (
     Interpreter,
     InterpreterError,
     MemoryBuffer,
-    run_descriptor_kernel,
     run_kernel,
 )
 from repro.observability import StatisticsRegistry, use_statistics
@@ -102,7 +101,7 @@ def descriptor_case(kernel: str) -> dict:
     spec = build_kernel(kernel, **sizes)
     arrays = spec.make_inputs(DESCRIPTOR_SEED)
     return _traced_run(
-        run_descriptor_kernel, result.modern_ir_module, kernel, arrays,
+        run_kernel, result.modern_ir_module, kernel, arrays,
         spec.scalar_args,
     )
 

@@ -299,17 +299,7 @@ class TestCleanupPipelineOnKernels:
         A, B, C = rand_f32((4, 4), 1), rand_f32((4, 4), 2), rand_f32((4, 4), 3)
 
         def run(mod):
-            from repro.ir.interpreter import Interpreter, Pointer, buffer_from_numpy, numpy_from_buffer
-
-            interp = Interpreter(mod)
-            bufs, args = {}, []
-            for arr, name in ((A, "A"), (B, "B"), (C, "C")):
-                buf = buffer_from_numpy(arr, name)
-                bufs[name] = buf
-                args += [Pointer(buf), Pointer(buf), 0, 4, 4, 4, 1]
-            args += [1.5, 1.2]
-            interp.run(mod.get_function("gemm"), args)
-            return numpy_from_buffer(bufs["C"], np.float32, (4, 4))
+            return run_kernel(mod, "gemm", {"A": A, "B": B, "C": C}, spec.scalar_args)["C"]
 
         before = run(irmod)
         stats = standard_cleanup_pipeline().run(irmod)

@@ -1,8 +1,10 @@
 """Affine expression/map algebra, with property-based evaluation checks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mlir import FunctionType, ModuleOp, OpBuilder, index, memref
 from repro.mlir.affine_expr import (
     AffineConstant,
     AffineDim,
@@ -12,6 +14,30 @@ from repro.mlir.affine_expr import (
     d,
     s,
 )
+from repro.mlir.dialects import affine, func
+
+from ..conftest import run_lowered
+
+DIMS = st.integers(-50, 50)
+COEFFICIENTS = st.integers(-10, 10)
+DIVISORS = st.integers(1, 20)
+
+
+def affine_exprs(num_dims: int):
+    """Affine expressions over ``d0..d{num_dims-1}``: sums and differences,
+    products with a constant, and ``floordiv``/``mod`` by a positive one."""
+    leaves = st.one_of(st.integers(0, num_dims - 1).map(d), COEFFICIENTS.map(c))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(lambda l, r: l + r, inner, inner),
+            st.builds(lambda l, r: l - r, inner, inner),
+            st.builds(lambda e, k: e * k, inner, COEFFICIENTS),
+            st.builds(lambda e, k: e // k, inner, DIVISORS),
+            st.builds(lambda e, k: e % k, inner, DIVISORS),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
 
 
 class TestExprConstruction:
@@ -67,20 +93,43 @@ class TestAffineMap:
         text = str(m)
         assert "d0" in text and "s0" in text
 
-    @given(
-        st.integers(-50, 50), st.integers(-50, 50),
-        st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10),
-    )
+    @given(DIMS, DIMS, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS)
     @settings(max_examples=50, deadline=None)
     def test_affine_combination_matches_python(self, x, y, a, b, k):
         expr = d(0) * a + d(1) * b + k
         m = AffineMap(2, 0, [expr])
         assert m.evaluate([x, y]) == (a * x + b * y + k,)
 
-    @given(st.integers(0, 1000), st.integers(1, 20))
+    @given(st.integers(0, 1000), DIVISORS)
     @settings(max_examples=30, deadline=None)
     def test_floordiv_mod_identity(self, x, q):
         div = (d(0) // q).evaluate([x])
         mod = (d(0) % q).evaluate([x])
         assert div * q + mod == x
         assert 0 <= mod < q
+
+
+def apply_lowered(amap: AffineMap, dims) -> int:
+    """``affine.apply`` of ``amap`` to ``dims``, lowered and run."""
+    names = [f"d{k}" for k in range(amap.num_dims)]
+    mod = ModuleOp("apply")
+    fn = func.func("f", FunctionType([index] * amap.num_dims + [memref(1, index)], []),
+                   names + ["out"])
+    mod.append(fn.op)
+    b = OpBuilder(fn.entry)
+    result = b.insert(affine.apply(amap, fn.arguments[:-1])).result
+    b.insert(affine.store(result, fn.arguments[-1], [b.const_index(0)]))
+    b.insert(func.return_())
+    out = run_lowered(mod, "f", {"out": np.zeros(1, np.int64)}, dict(zip(names, dims)))
+    return int(out["out"][0])
+
+
+class TestLoweredApply:
+    """The lowering's ``floordiv`` rounds toward -inf and its ``mod`` is never
+    negative, as ``AffineMap.evaluate`` (the reference) says."""
+
+    @given(affine_exprs(2), DIMS, DIMS)
+    @settings(max_examples=60, deadline=None)
+    def test_lowered_apply_matches_evaluate(self, expr, x, y):
+        amap = AffineMap(2, 0, [expr])
+        assert apply_lowered(amap, [x, y]) == amap.evaluate([x, y])[0]

@@ -1,25 +1,23 @@
-"""MLIR interpreter semantics and structural verification."""
+"""Structured mini-MLIR semantics, run lowered through the IR interpreter,
+and structural verification."""
 
 import numpy as np
 import pytest
 
+from repro.ir import Interpreter, InterpreterError, run_kernel
 from repro.mlir import (
     FunctionType,
-    MLIRInterpreter,
-    MLIRInterpreterError,
     MLIRVerificationError,
     ModuleOp,
     OpBuilder,
-    core,
     f32,
-    i32,
-    index,
     memref,
-    run_mlir_kernel,
     verify_module,
 )
 from repro.mlir.affine_expr import d
 from repro.mlir.dialects import affine, arith, func, math, memref as mr, scf
+
+from ..conftest import lower_clone, run_lowered
 
 
 def make_fn(mod, name, inputs, arg_names):
@@ -29,11 +27,12 @@ def make_fn(mod, name, inputs, arg_names):
 
 
 class TestInterpreter:
+    """Each kernel is lowered (``lower_clone``) and run by the IR interpreter."""
+
     def test_iter_args_reduction(self):
         mod = ModuleOp("red")
-        fn = func.func("dot", FunctionType([memref(8, f32), memref(8, f32)], [f32]), ["x", "y"])
-        mod.append(fn.op)
-        b = OpBuilder(fn.entry)
+        fn, b = make_fn(mod, "dot", [memref(8, f32), memref(8, f32), memref(1, f32)],
+                        ["x", "y", "out"])
         zero = b.const_float(0.0, f32)
         loop = b.affine_for(0, 8, iter_inits=[zero])
         with b.at_end(loop.body):
@@ -43,12 +42,13 @@ class TestInterpreter:
             prod = b.insert(arith.mulf(xv, yv)).result
             acc = b.insert(arith.addf(loop.iter_args[0], prod)).result
             b.insert(affine.yield_([acc]))
-        b.insert(func.return_([loop.results[0]]))
+        b.insert(affine.store(loop.results[0], fn.arguments[2], [b.const_index(0)]))
+        b.insert(func.return_())
         verify_module(mod)
         x = np.arange(8, dtype=np.float32)
         y = np.ones(8, dtype=np.float32)
-        (result,) = MLIRInterpreter(mod).run("dot", [x, y])
-        assert result == pytest.approx(float(x.sum()))
+        out = run_lowered(mod, "dot", {"x": x, "y": y, "out": np.zeros(1, np.float32)})
+        assert out["out"][0] == pytest.approx(float(x.sum()))
 
     def test_triangular_bounds(self):
         mod = ModuleOp("tri")
@@ -64,7 +64,7 @@ class TestInterpreter:
                 b.insert(affine.store(b.insert(arith.addf(cur, one)).result,
                                       fn.arguments[0], [i]))
         b.insert(func.return_())
-        out = run_mlir_kernel(mod, "count", {"out": np.zeros(8, np.float32)})
+        out = run_lowered(mod, "count", {"out": np.zeros(8, np.float32)})
         assert np.array_equal(out["out"], np.arange(1, 9, dtype=np.float32))
 
     def test_scf_if(self):
@@ -81,9 +81,9 @@ class TestInterpreter:
         with b.at_end(if_op.else_block):
             b.insert(scf.yield_([fn.arguments[0]]))
         b.insert(func.return_([if_op.results[0]]))
-        interp = MLIRInterpreter(mod)
-        assert interp.run("clamp", [-2.0]) == [0.0]
-        assert interp.run("clamp", [3.0]) == [3.0]
+        interp = Interpreter(lower_clone(mod))
+        assert interp.run("clamp", [-2.0]) == 0.0
+        assert interp.run("clamp", [3.0]) == 3.0
 
     def test_math_ops(self):
         mod = ModuleOp("mm")
@@ -92,7 +92,7 @@ class TestInterpreter:
         b = OpBuilder(fn.entry)
         r = b.insert(math.sqrt(fn.arguments[0])).result
         b.insert(func.return_([r]))
-        assert MLIRInterpreter(mod).run("f", [16.0]) == [4.0]
+        assert Interpreter(lower_clone(mod)).run("f", [16.0]) == 4.0
 
     def test_local_alloc_zeroed(self):
         mod = ModuleOp("al")
@@ -100,20 +100,12 @@ class TestInterpreter:
         tmp = b.insert(mr.alloc(memref(4, f32))).result
         b.insert(mr.copy(tmp, fn.arguments[0]))
         b.insert(func.return_())
-        out = run_mlir_kernel(mod, "f", {"out": np.ones(4, np.float32)})
+        out = run_lowered(mod, "f", {"out": np.ones(4, np.float32)})
         assert np.array_equal(out["out"], np.zeros(4, np.float32))
 
-    def test_shape_mismatch_rejected(self):
-        mod = ModuleOp("sh")
-        fn, b = make_fn(mod, "f", [memref(4, f32)], ["x"])
-        b.insert(func.return_())
-        with pytest.raises(MLIRInterpreterError, match="shape"):
-            run_mlir_kernel(mod, "f", {"x": np.zeros(5, np.float32)})
-
     def test_missing_function(self):
-        mod = ModuleOp("empty")
-        with pytest.raises(MLIRInterpreterError):
-            MLIRInterpreter(mod).run("nope", [])
+        with pytest.raises(InterpreterError, match="no function @nope"):
+            run_kernel(lower_clone(ModuleOp("empty")), "nope", {})
 
 
 class TestVerifier:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.mlir import print_module, run_mlir_kernel, verify_module
+from repro.mlir import print_module, verify_module
 from repro.mlir.affine_expr import AffineMap, d, s
 from repro.mlir.parser import MLIRParseError, parse_affine_map, parse_mlir_module
 from repro.workloads import KERNEL_BUILDERS, build_kernel
 from repro.workloads.suite import SUITE_SIZES
+
+from ..conftest import run_lowered
 
 
 class TestAffineMapParsing:
@@ -56,7 +58,7 @@ class TestModuleRoundTrip:
         spec = build_kernel(name, **SUITE_SIZES["MINI"][name])
         parsed = parse_mlir_module(print_module(spec.module))
         arrays = spec.make_inputs(5)
-        got = run_mlir_kernel(parsed, spec.name, arrays, spec.scalar_args)
+        got = run_lowered(parsed, spec.name, arrays, spec.scalar_args)
         want = spec.reference(
             **{k: v.copy() for k, v in arrays.items()}, **spec.scalar_args
         )

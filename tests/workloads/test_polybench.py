@@ -1,10 +1,10 @@
-"""Every PolyBench kernel builder: structure and functional correctness
-against the NumPy oracle at the MLIR level."""
+"""Every PolyBench kernel builder: structure, and functional correctness
+of its lowered IR against the NumPy oracle."""
 
 import numpy as np
 import pytest
 
-from repro.mlir import run_mlir_kernel, verify_module
+from repro.mlir import verify_module
 from repro.workloads import (
     KERNEL_BUILDERS,
     SUITE_SIZES,
@@ -12,6 +12,8 @@ from repro.workloads import (
     default_suite,
     kernel_names,
 )
+
+from ..conftest import run_lowered
 
 ALL_KERNELS = sorted(KERNEL_BUILDERS)
 
@@ -65,7 +67,7 @@ class TestFunctionalCorrectness:
     def test_mini_kernel_matches_numpy(self, name):
         spec = build_kernel(name, **SUITE_SIZES["MINI"][name])
         arrays = spec.make_inputs(seed=42)
-        got = run_mlir_kernel(spec.module, spec.name, arrays, spec.scalar_args)
+        got = run_lowered(spec.module, spec.name, arrays, spec.scalar_args)
         want = spec.reference(
             **{k: v.copy() for k, v in arrays.items()}, **spec.scalar_args
         )
@@ -76,7 +78,7 @@ class TestFunctionalCorrectness:
     def test_gemm_multiple_seeds(self, seed):
         spec = build_kernel("gemm", NI=5, NJ=4, NK=6)
         arrays = spec.make_inputs(seed)
-        got = run_mlir_kernel(spec.module, spec.name, arrays, spec.scalar_args)
+        got = run_lowered(spec.module, spec.name, arrays, spec.scalar_args)
         want = spec.reference(
             **{k: v.copy() for k, v in arrays.items()}, **spec.scalar_args
         )
@@ -86,7 +88,7 @@ class TestFunctionalCorrectness:
         # Non-square shapes catch transposed-subscript bugs.
         spec = build_kernel("atax", M=3, N=7)
         arrays = spec.make_inputs(9)
-        got = run_mlir_kernel(spec.module, spec.name, arrays, spec.scalar_args)
+        got = run_lowered(spec.module, spec.name, arrays, spec.scalar_args)
         want = spec.reference(
             **{k: v.copy() for k, v in arrays.items()}, **spec.scalar_args
         )
