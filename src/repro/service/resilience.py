@@ -30,9 +30,10 @@ Everything is counted through :mod:`repro.observability`::
     service.failures   attempts that raised (timeouts counted separately)
     service.degraded   circuit-breaker trips to serial execution
 
-Timeout enforcement needs worker processes; the serial paths (``jobs=1``
-and the degraded mode) still honour ``continue``/``retry`` semantics but
-cannot pre-empt a hung in-process compile.
+Timeout enforcement needs worker processes.  Requests the executor runs
+in this process (one worker, or an open circuit) still get the
+``continue``/``retry`` semantics and the backoff, but a hung in-process
+compile cannot be pre-empted.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "RequestOutcome",
     "outcome_counts",
     "ResilientExecutor",
-    "run_serial",
 ]
 
 FAILURE_MODES = ("fail-fast", "continue", "retry")
@@ -172,10 +172,6 @@ def outcome_counts(outcomes: Sequence[RequestOutcome]) -> Dict[str, int]:
     return counts
 
 
-def _identity_prepare(payload: Any, attempt: int) -> Any:
-    return payload
-
-
 @dataclass
 class _Inflight:
     index: int
@@ -185,35 +181,36 @@ class _Inflight:
 
 
 class ResilientExecutor:
-    """Run payloads through a replaceable process pool under a policy.
+    """Run payloads under a policy, in worker processes or in this one.
 
-    ``worker_fn`` must be a module-level picklable callable taking one
-    payload.  ``serial_fn`` is the in-process fallback the circuit
-    breaker degrades to (defaults to calling ``worker_fn`` inline).
-    ``prepare_fn(payload, attempt)`` produces the object actually
-    shipped to the worker, letting callers stamp the attempt number (the
-    chaos injector keys on it).  ``labels``/``configs`` name the
-    requests in outcomes and diagnostics.
+    Both functions are called as ``fn(payload, attempt)``; the attempt
+    number starts at 1 (the chaos injector keys on it).  ``worker_fn``
+    runs in a replaceable process pool and must be a module-level
+    picklable callable.  ``serial_fn`` (default: ``worker_fn``) runs in
+    this process: for the whole batch when there is one worker (``jobs=1``
+    or a single payload), and for the rest of it once the circuit breaker
+    opens.  ``labels``/``configs`` name the requests in outcomes and
+    diagnostics.
 
     :meth:`run` returns ``(outcomes, results)`` where ``results`` maps a
-    request index to the worker's return value for every request that
-    succeeded.  Under ``fail-fast`` the first failure propagates (as the
+    request index to the function's return value for every request that
+    succeeded.  Under ``fail-fast`` the first failure propagates: as
+    raised when it happened in this process; from a pool, as the
     original :class:`CompilationError` or wrapped in
-    :class:`ServiceError`) after outstanding work is cancelled and the
+    :class:`ServiceError`, after outstanding work is cancelled and the
     pool is torn down.
     """
 
     def __init__(
         self,
-        worker_fn: Callable[[Any], Any],
+        worker_fn: Callable[[Any, int], Any],
         payloads: Sequence[Any],
         *,
         jobs: int,
         policy: FailurePolicy,
         labels: Optional[Sequence[str]] = None,
         configs: Optional[Sequence[str]] = None,
-        serial_fn: Optional[Callable[[Any], Any]] = None,
-        prepare_fn: Optional[Callable[[Any, int], Any]] = None,
+        serial_fn: Optional[Callable[[Any, int], Any]] = None,
         engine: Optional[DiagnosticEngine] = None,
     ):
         self.worker_fn = worker_fn
@@ -223,7 +220,6 @@ class ResilientExecutor:
         self.labels = list(labels) if labels else [str(i) for i in range(len(self.payloads))]
         self.configs = list(configs) if configs else ["-"] * len(self.payloads)
         self.serial_fn = serial_fn or worker_fn
-        self.prepare_fn = prepare_fn or _identity_prepare
         self.engine = engine or DiagnosticEngine()
         self.pool_failures = 0
         self.degraded = False
@@ -285,84 +281,104 @@ class ResilientExecutor:
         else:
             self._pool = self._new_pool()
 
-    # -- the run loop -------------------------------------------------------
-    def run(self) -> Tuple[List[RequestOutcome], Dict[int, Any]]:
+    # -- the outcome ledger -------------------------------------------------
+    def _succeeded(self, index: int, attempt: int, started: float, value: Any) -> None:
+        self._results[index] = value
+        outcome = self._outcomes[index]
+        outcome.attempts = attempt
+        outcome.seconds += time.monotonic() - started
+        outcome.status = "ok" if attempt == 1 else "retried-then-ok"
+        outcome.error = None
+        outcome.error_code = None
+
+    def _failed(
+        self, index: int, attempt: int, started: float,
+        exc: Optional[BaseException], timed_out: bool = False,
+    ) -> None:
+        """Charge one failed attempt; requeue it if the policy allows."""
         policy = self.policy
         stats = get_statistics()
-        outcomes = [
+        outcome = self._outcomes[index]
+        outcome.attempts = attempt
+        outcome.seconds += time.monotonic() - started
+        if timed_out:
+            stats.bump("service", "timeouts")
+            outcome.error = f"worker exceeded {policy.timeout:g}s deadline"
+            outcome.error_code = "REPRO-SVC-003"
+        else:
+            stats.bump("service", "failures")
+            outcome.error = f"{type(exc).__name__}: {exc}"
+            outcome.error_code = getattr(exc, "code", None)
+        if policy.mode == "fail-fast":
+            if self._pool is None:
+                raise exc  # in process: propagate as raised
+            self._abort_pool()
+            label = self.labels[index]
+            if timed_out:
+                diag = self.engine.error(
+                    "REPRO-SVC-003",
+                    f"worker compiling {label!r} exceeded its "
+                    f"{policy.timeout:g}s deadline",
+                )
+                raise ServiceError(diag.message, kernel=label, diagnostic=diag)
+            if isinstance(exc, CompilationError):
+                raise exc
+            diag = self.engine.error(
+                ServiceError.code,
+                f"worker compiling {label!r} failed: {type(exc).__name__}: {exc}",
+            )
+            raise ServiceError(diag.message, kernel=label, diagnostic=diag) from exc
+        if attempt < policy.attempts:
+            stats.bump("service", "retries")
+            self._ready_at[index] = time.monotonic() + policy.backoff_for(attempt)
+            self._pending.append((index, attempt + 1))
+        else:
+            outcome.status = "timed-out" if timed_out else "failed"
+
+    # -- the run loops ------------------------------------------------------
+    def run(self) -> Tuple[List[RequestOutcome], Dict[int, Any]]:
+        # The outcome ledger both run loops share.
+        self._outcomes = [
             RequestOutcome(index=i, kernel=self.labels[i], config=self.configs[i])
             for i in range(len(self.payloads))
         ]
-        results: Dict[int, Any] = {}
-        pending: deque = deque((i, 1) for i in range(len(self.payloads)))
-        ready_at: Dict[int, float] = {}
+        self._results: Dict[int, Any] = {}
+        self._pending: deque = deque((i, 1) for i in range(len(self.payloads)))
+        self._ready_at: Dict[int, float] = {}
+        if self.workers > 1:
+            self._run_pool()
+        # Everything the pool left: the whole batch for one worker, the
+        # rest of it once the circuit breaker opened.
+        self._run_in_process()
+        return self._outcomes, self._results
+
+    def _run_in_process(self) -> None:
+        """Drain the queue in this process.  There is no worker to kill,
+        so ``timeout`` cannot be enforced here: a hung compile blocks."""
+        pending = self._pending
+        while pending:
+            index, attempt = pending.popleft()
+            release = self._ready_at.pop(index, None)
+            if release is not None:  # a retry owes its backoff
+                time.sleep(max(0.0, release - time.monotonic()))
+            started = time.monotonic()
+            try:
+                value = self.serial_fn(self.payloads[index], attempt)
+            except Exception as exc:  # an interrupt here ends the batch
+                self._failed(index, attempt, started, exc)
+            else:
+                self._succeeded(index, attempt, started, value)
+
+    def _run_pool(self) -> None:
+        """Run the queue through the pool until it drains or the circuit
+        breaker opens."""
+        policy = self.policy
+        pending = self._pending
+        ready_at = self._ready_at
         inflight: Dict[Future, _Inflight] = {}
         self._pool = self._new_pool()
-
-        def record_success(index: int, attempt: int, started: float, value: Any):
-            results[index] = value
-            outcome = outcomes[index]
-            outcome.attempts = attempt
-            outcome.seconds += time.monotonic() - started
-            outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-            outcome.comparison_index = None  # caller assigns
-            outcome.error = None
-            outcome.error_code = None
-
-        def record_failure(
-            index: int, attempt: int, started: float,
-            exc: Optional[BaseException], timed_out: bool,
-        ):
-            """Charge one failed attempt; requeue it if the policy allows."""
-            outcome = outcomes[index]
-            outcome.attempts = attempt
-            outcome.seconds += time.monotonic() - started
-            if timed_out:
-                stats.bump("service", "timeouts")
-                outcome.error = (
-                    f"worker exceeded {policy.timeout:g}s deadline"
-                )
-                outcome.error_code = "REPRO-SVC-003"
-            else:
-                stats.bump("service", "failures")
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.error_code = getattr(exc, "code", None)
-            if policy.mode == "fail-fast":
-                self._abort_pool()
-                if timed_out:
-                    diag = self.engine.error(
-                        "REPRO-SVC-003",
-                        f"worker compiling {self.labels[index]!r} exceeded "
-                        f"its {policy.timeout:g}s deadline",
-                    )
-                    raise ServiceError(
-                        diag.message, kernel=self.labels[index], diagnostic=diag
-                    )
-                if isinstance(exc, CompilationError):
-                    raise exc
-                diag = self.engine.error(
-                    ServiceError.code,
-                    f"worker compiling {self.labels[index]!r} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-                raise ServiceError(
-                    diag.message, kernel=self.labels[index], diagnostic=diag
-                ) from exc
-            if attempt < policy.attempts:
-                stats.bump("service", "retries")
-                ready_at[index] = time.monotonic() + policy.backoff_for(attempt)
-                pending.append((index, attempt + 1))
-            else:
-                outcome.status = "timed-out" if timed_out else "failed"
-
         try:
-            while pending or inflight:
-                if self.degraded:
-                    assert not inflight
-                    remaining = list(pending)
-                    pending.clear()
-                    self._run_degraded(remaining, outcomes, results, record_failure)
-                    break
+            while (pending or inflight) and not self.degraded:
                 now = time.monotonic()
                 # Submit every ready request there is a worker slot for.
                 # (Backed-off retries may sit behind ready work — scan,
@@ -373,8 +389,9 @@ class ResilientExecutor:
                     if ready_at.get(index, 0.0) > now:
                         blocked.append((index, attempt))
                         continue
-                    payload = self.prepare_fn(self.payloads[index], attempt)
-                    future = self._pool.submit(self.worker_fn, payload)
+                    future = self._pool.submit(
+                        self.worker_fn, self.payloads[index], attempt
+                    )
                     inflight[future] = _Inflight(
                         index=index,
                         attempt=attempt,
@@ -421,24 +438,20 @@ class ResilientExecutor:
                         inflight[future] = meta
                         break
                     except BaseException as exc:
-                        record_failure(
-                            meta.index, meta.attempt, meta.started, exc,
-                            timed_out=False,
-                        )
+                        self._failed(meta.index, meta.attempt, meta.started, exc)
                     else:
-                        record_success(meta.index, meta.attempt, meta.started, value)
+                        self._succeeded(meta.index, meta.attempt, meta.started, value)
                 if pool_broken:
                     # Every in-flight attempt died with the pool: charge
                     # each one (the culprit cannot be told apart from the
                     # victims) and let the breaker logic decide what the
                     # replacement pool looks like.
-                    casualties = list(inflight.items())
+                    casualties = list(inflight.values())
                     inflight.clear()
-                    for future, meta in casualties:
-                        record_failure(
+                    for meta in casualties:
+                        self._failed(
                             meta.index, meta.attempt, meta.started,
                             BrokenProcessPool("worker pool broke mid-batch"),
-                            timed_out=False,
                         )
                     self._pool_failure("broken process pool")
                     continue
@@ -457,7 +470,7 @@ class ResilientExecutor:
                 if expired:
                     for future, meta in expired:
                         del inflight[future]
-                        record_failure(
+                        self._failed(
                             meta.index, meta.attempt, meta.started, None,
                             timed_out=True,
                         )
@@ -475,98 +488,3 @@ class ResilientExecutor:
                 self._abort_pool()
             else:
                 self._close_pool()
-        return outcomes, results
-
-    def _run_degraded(
-        self,
-        remaining: List[Tuple[int, int]],
-        outcomes: List[RequestOutcome],
-        results: Dict[int, Any],
-        record_failure,
-    ) -> None:
-        """Circuit-open path: finish the batch serially, in this process."""
-        policy = self.policy
-        for index, first_attempt in remaining:
-            for attempt in range(first_attempt, policy.attempts + 1):
-                if attempt > first_attempt:
-                    time.sleep(policy.backoff_for(attempt - 1))
-                started = time.monotonic()
-                try:
-                    value = self.serial_fn(self.prepare_fn(self.payloads[index], attempt))
-                except BaseException as exc:
-                    outcome = outcomes[index]
-                    outcome.attempts = attempt
-                    outcome.seconds += time.monotonic() - started
-                    get_statistics().bump("service", "failures")
-                    outcome.error = f"{type(exc).__name__}: {exc}"
-                    outcome.error_code = getattr(exc, "code", None)
-                    if policy.mode == "fail-fast":
-                        raise
-                    if attempt < policy.attempts:
-                        get_statistics().bump("service", "retries")
-                        continue
-                    outcome.status = "failed"
-                else:
-                    results[index] = value
-                    outcome = outcomes[index]
-                    outcome.attempts = attempt
-                    outcome.seconds += time.monotonic() - started
-                    outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-                    outcome.error = None
-                    outcome.error_code = None
-                break
-
-
-def run_serial(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    *,
-    policy: FailurePolicy,
-    labels: Sequence[str],
-    configs: Sequence[str],
-    prepare_fn: Optional[Callable[[Any, int], Any]] = None,
-) -> Tuple[List[RequestOutcome], Dict[int, Any]]:
-    """Policy-aware in-process batch loop (the ``jobs=1`` path).
-
-    Honours ``continue``/``retry`` semantics and the deterministic
-    backoff; cannot enforce ``timeout`` (there is no worker to kill), so
-    hung compiles block — parallel execution is where deadlines live.
-    Under ``fail-fast`` the first failure propagates unwrapped, matching
-    the historical serial behaviour.
-    """
-    prepare = prepare_fn or _identity_prepare
-    stats = get_statistics()
-    outcomes = [
-        RequestOutcome(index=i, kernel=labels[i], config=configs[i])
-        for i in range(len(payloads))
-    ]
-    results: Dict[int, Any] = {}
-    for index, payload in enumerate(payloads):
-        outcome = outcomes[index]
-        for attempt in range(1, policy.attempts + 1):
-            if attempt > 1:
-                time.sleep(policy.backoff_for(attempt - 1))
-            started = time.monotonic()
-            try:
-                value = fn(prepare(payload, attempt))
-            except BaseException as exc:
-                outcome.attempts = attempt
-                outcome.seconds += time.monotonic() - started
-                stats.bump("service", "failures")
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.error_code = getattr(exc, "code", None)
-                if policy.mode == "fail-fast":
-                    raise
-                if attempt < policy.attempts:
-                    stats.bump("service", "retries")
-                    continue
-                outcome.status = "failed"
-            else:
-                results[index] = value
-                outcome.attempts = attempt
-                outcome.seconds += time.monotonic() - started
-                outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-                outcome.error = None
-                outcome.error_code = None
-            break
-    return outcomes, results

@@ -53,7 +53,6 @@ from .resilience import (
     RequestOutcome,
     ResilientExecutor,
     outcome_counts,
-    run_serial,
 )
 
 __all__ = [
@@ -285,7 +284,7 @@ def _sizes_for(size_class: str, kernel: str) -> Dict[str, int]:
         ) from None
 
 
-def _compile_job(payload: dict):
+def _compile_job(payload: dict, attempt: int):
     """Worker entry point: compile one kernel through a private service
     handle onto the *shared* on-disk cache.
 
@@ -310,7 +309,7 @@ def _compile_job(payload: dict):
     tracer = Tracer(name=payload["kernel"]) if payload.get("trace") else NULL_TRACER
     registry = StatisticsRegistry() if payload.get("stats") else NULL_STATISTICS
     with use_tracer(tracer), use_statistics(registry):
-        comparison = service._run_payload(payload)
+        comparison = service._run_payload(payload, attempt)
     counters = registry.as_dict() if registry.enabled else None
     return comparison, service.cache.stats, counters
 
@@ -574,52 +573,35 @@ class CompilationService:
             policy=policy.describe(),
         )
 
-        def stamp_attempt(payload: dict, attempt: int) -> dict:
-            return {**payload, "attempt": attempt}
-
         with tracer.span(
             span_name, category="service",
             config=report.config, size=report.size_class,
             jobs=self.jobs, kernels=len(payloads),
         ) as suite_span:
-            if self.jobs == 1 or len(payloads) <= 1:
-                outcomes, results = run_serial(
-                    self._run_payload,
-                    payloads,
-                    policy=policy,
-                    labels=labels,
-                    configs=configs,
-                    prepare_fn=stamp_attempt,
-                )
-                report.outcomes = outcomes
-                for outcome in outcomes:
-                    if outcome.index in results:
-                        outcome.comparison_index = len(report.comparisons)
-                        report.comparisons.append(results[outcome.index])
-            else:
-                executor = ResilientExecutor(
-                    _compile_job,
-                    payloads,
-                    jobs=self.jobs,
-                    policy=policy,
-                    labels=labels,
-                    configs=configs,
-                    prepare_fn=stamp_attempt,
-                    engine=self.engine,
-                )
-                outcomes, results = executor.run()
-                report.outcomes = outcomes
-                report.degraded = executor.degraded
-                for outcome in outcomes:
-                    if outcome.index in results:
-                        comparison, stats, counters = results[outcome.index]
-                        outcome.comparison_index = len(report.comparisons)
-                        report.comparisons.append(comparison)
-                        # Surface the worker's stats on this handle, so a
-                        # caller polling ``service.cache.stats`` sees them.
+            executor = ResilientExecutor(
+                _compile_job,
+                payloads,
+                jobs=self.jobs,
+                policy=policy,
+                labels=labels,
+                configs=configs,
+                serial_fn=self._compile_in_process,
+                engine=self.engine,
+            )
+            outcomes, results = executor.run()
+            report.outcomes = outcomes
+            report.degraded = executor.degraded
+            for outcome in outcomes:
+                if outcome.index in results:
+                    comparison, stats, counters = results[outcome.index]
+                    outcome.comparison_index = len(report.comparisons)
+                    report.comparisons.append(comparison)
+                    # Surface a worker's stats on this handle, so a caller
+                    # polling ``service.cache.stats`` sees them.
+                    if stats is not None:
                         self.cache.stats.merge(stats)
-                        if counters:
-                            registry.merge(counters)
+                    if counters:
+                        registry.merge(counters)
             report.cache_stats = _row_cache_stats(report.comparisons)
             suite_span.set(
                 hits=report.cache_stats.hits, misses=report.cache_stats.misses
@@ -638,17 +620,21 @@ class CompilationService:
         report.seconds = time.perf_counter() - start
         return report
 
-    def _run_payload(self, payload: dict) -> FlowComparison:
-        """One batch payload through this handle's cache: the ``jobs=1``
-        path runs it directly, :func:`_compile_job` on a worker's private
-        handle.
+    def _compile_in_process(self, payload: dict, attempt: int):
+        """The executor's in-process function: this handle compiles, so
+        its memory tier, engine and ambient tracer see the request."""
+        return self._run_payload(payload, attempt), None, None
+
+    def _run_payload(self, payload: dict, attempt: int) -> FlowComparison:
+        """One attempt at a batch payload through this handle's cache:
+        :meth:`_compile_in_process` runs it on this handle,
+        :func:`_compile_job` on a worker's private one.
 
         When the chaos harness is armed, the payload carries a per-request
-        fault ``plan`` plus the current ``attempt``; crash/hang/slow faults
-        fire *before* the compile, corrupt-on-write *after* it.
+        fault ``plan``; crash/hang/slow faults fire *before* the compile,
+        corrupt-on-write *after* it.
         """
         plan = payload.get("chaos")
-        attempt = payload.get("attempt", 1)
         if plan:
             from ..testing.chaos import apply_chaos
 

@@ -31,7 +31,6 @@ from repro.service import (
     default_jobs,
     outcome_counts,
 )
-from repro.service.resilience import run_serial
 from repro.testing import ChaosProfile
 from repro.workloads.suite import SUITE_SIZES
 
@@ -42,11 +41,7 @@ SUBSET = ["gemm", "atax", "bicg"]
 # stub workers — module-level so they pickle under every start method
 # ---------------------------------------------------------------------------
 
-def _stamp(payload: dict, attempt: int) -> dict:
-    return {**payload, "attempt": attempt}
-
-
-def _stub_worker(payload: dict):
+def _stub_worker(payload: dict, attempt: int):
     """Scriptable worker: the payload says how this id misbehaves.
 
     ``crash``: raise every attempt.  ``flaky``: raise on attempt 1 only.
@@ -54,7 +49,6 @@ def _stub_worker(payload: dict):
     the worker process outright (breaks the whole pool).
     """
     ident = payload["id"]
-    attempt = payload.get("attempt", 1)
     if ident in payload.get("crash", ()):
         raise RuntimeError(f"stub crash #{ident}")
     if ident in payload.get("flaky", ()) and attempt == 1:
@@ -66,7 +60,7 @@ def _stub_worker(payload: dict):
     return f"done-{ident}"
 
 
-def _serial_recovery(payload: dict):
+def _serial_recovery(payload: dict, attempt: int):
     """Degraded-mode fallback: always succeeds (in-process, no pool)."""
     return f"serial-{payload['id']}"
 
@@ -135,17 +129,16 @@ class TestFailurePolicy:
 
 
 # ---------------------------------------------------------------------------
-# run_serial — the jobs=1 path, in-process and fast
+# ResilientExecutor(jobs=1) — the in-process loop, fast
 # ---------------------------------------------------------------------------
 
 class TestRunSerial:
     def _run(self, payloads, policy):
         labels = [f"req{p['id']}" for p in payloads]
-        configs = ["cfg"] * len(payloads)
-        return run_serial(
-            _stub_worker, payloads, policy=policy,
-            labels=labels, configs=configs, prepare_fn=_stamp,
-        )
+        return ResilientExecutor(
+            _stub_worker, payloads, jobs=1, policy=policy,
+            labels=labels, configs=["cfg"] * len(payloads),
+        ).run()
 
     def test_all_ok(self):
         outcomes, results = self._run(_payloads(3), FailurePolicy())
@@ -197,7 +190,7 @@ class TestResilientExecutor:
         return ResilientExecutor(
             _stub_worker, payloads, jobs=jobs, policy=policy,
             labels=labels, configs=["cfg"] * len(payloads),
-            serial_fn=_serial_recovery, prepare_fn=_stamp,
+            serial_fn=_serial_recovery,
         )
 
     def test_continue_returns_partial_results(self):
@@ -418,6 +411,29 @@ class TestServiceChaosSerial:
         assert any(
             d.code == "REPRO-CACHE-001" for d in clean.engine.diagnostics
         )
+
+
+@pytest.mark.slow
+def test_degraded_requests_compile_on_the_service_handle(tmp_path):
+    """Once the circuit opens, the rest of the batch runs on the service's
+    own handle, as ``jobs=1`` requests do: its memory tier keeps the row."""
+    service = CompilationService(
+        cache_dir=str(tmp_path / "cache"), jobs=2, mem_entries=64,
+        chaos=ChaosProfile(seed=3, hang=1, hang_seconds=60),
+    )
+    report = service.run_suite(
+        "baseline", kernels=["gemm", "atax"], size_class="MINI",
+        policy=FailurePolicy(
+            mode="retry", max_attempts=2, timeout=1.0,
+            circuit_threshold=1, backoff_base=0,
+        ),
+    )
+    assert report.degraded
+    (retried,) = [o for o in report.outcomes if o.status == "retried-then-ok"]
+    key = service.request_key(
+        retried.kernel, SUITE_SIZES["MINI"][retried.kernel], "baseline"
+    )
+    assert key in service.cache.mem
 
 
 # ---------------------------------------------------------------------------
