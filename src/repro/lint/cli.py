@@ -13,20 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import List, Optional
+from typing import List
 
 from .linter import LintReport, run_lint
 from .rules import all_rules
 
-__all__ = ["main", "build_parser", "register_subcommand", "render_rules_markdown"]
+__all__ = ["register_subcommand", "render_rules_markdown"]
 
 
-def _add_subcommands(sub) -> None:
-    """Add ``check``/``rules`` (with handler defaults) to a subparsers
-    object — shared by the standalone parser and the unified CLI's nested
-    ``lint`` subcommand."""
-    check = sub.add_parser(
+def register_subcommand(sub) -> None:
+    """Add a nested ``lint {check,rules}`` subcommand to the unified CLI."""
+    lint = sub.add_parser(
+        "lint", help="lint modules against the HLS compatibility contract"
+    )
+    lint_sub = lint.add_subparsers(dest="lint_command", required=True)
+    check = lint_sub.add_parser(
         "check", help="lint kernels or .ll files against the rule registry"
     )
     check.set_defaults(handler=_cmd_check)
@@ -82,30 +83,11 @@ def _add_subcommands(sub) -> None:
         "--json", action="store_true", help="machine-readable report on stdout"
     )
 
-    rules = sub.add_parser("rules", help="print the registered rule table")
+    rules = lint_sub.add_parser("rules", help="print the registered rule table")
     rules.set_defaults(handler=_cmd_rules)
     rules.add_argument(
         "--json", action="store_true", help="machine-readable registry on stdout"
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="Static HLS-compatibility linter for adapted LLVM IR.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_subcommands(sub)
-    return parser
-
-
-def register_subcommand(sub) -> None:
-    """Add a nested ``lint {check,rules}`` subcommand to the unified CLI."""
-    lint = sub.add_parser(
-        "lint", help="lint modules against the HLS compatibility contract"
-    )
-    lint_sub = lint.add_subparsers(dest="lint_command", required=True)
-    _add_subcommands(lint_sub)
 
 
 def _kernel_module(kernel: str, size: str, config: str, pre: bool):
@@ -230,22 +212,3 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     else:
         print(render_rules_markdown(), end="")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    from ..diagnostics.errors import CompilationError
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: unknown rule {exc}", file=sys.stderr)
-        return 2
-    except CompilationError as exc:
-        code = getattr(exc, "code", "REPRO-E000")
-        print(f"error[{code}]: {exc}", file=sys.stderr)
-        return 2

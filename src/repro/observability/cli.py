@@ -19,14 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .export import chrome_trace, diff_table, hot_ranking, hot_table, load_span_forest, trace_summary
 from .schema import validate_chrome_trace
 from .stats import StatisticsRegistry, use_statistics
 from .tracer import Tracer, use_tracer
 
-__all__ = ["main", "build_parser", "register_subcommands"]
+__all__ = ["register_subcommands"]
 
 
 def _add_compile_options(parser: argparse.ArgumentParser) -> None:
@@ -48,9 +48,8 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
 
 
 def register_subcommands(sub) -> None:
-    """Add ``trace``/``stats``/``diff``/``validate`` (with handler
-    defaults) to a subparsers object — shared by the standalone parser
-    and the unified ``python -m repro`` CLI."""
+    """Add ``trace``/``stats``/``diff``/``validate``/``hot`` (with
+    handler defaults) to the unified CLI's subparsers object."""
     trace = sub.add_parser("trace", help="emit a Chrome trace for one kernel compile")
     trace.set_defaults(handler=_cmd_trace)
     _add_compile_options(trace)
@@ -112,16 +111,6 @@ def register_subcommands(sub) -> None:
         "--json", action="store_true", dest="as_json",
         help="emit the ranking as JSON instead of a table",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Tracing and pass-statistics tooling for the flow pipeline.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    register_subcommands(sub)
-    return parser
 
 
 def _observed_compile(
@@ -241,16 +230,3 @@ def _cmd_hot(args: argparse.Namespace) -> int:
             )
         )
     return 0 if ranking else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    from ..diagnostics.errors import CompilationError
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except CompilationError as exc:
-        code = getattr(exc, "code", "REPRO-E000")
-        print(f"error[{code}]: {exc}", file=sys.stderr)
-        return 2

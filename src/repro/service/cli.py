@@ -20,22 +20,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
-from ..diagnostics.errors import CompilationError, PipelineConfigError
-from .cache import default_cache_dir
+from ..diagnostics.errors import PipelineConfigError
 from .resilience import FAILURE_MODES, FailurePolicy
 from .service import NAMED_CONFIGS, CompilationService, default_jobs
 
-__all__ = ["main", "build_parser", "register_subcommands"]
+__all__ = ["register_subcommands", "policy_from_args"]
 
 
 def register_subcommands(sub) -> None:
-    """Add ``run-suite`` and ``cache`` to a subparsers object.
-
-    Shared by this module's standalone parser and the unified
-    ``python -m repro`` CLI; handlers dispatch via ``args.handler`` and
-    expect ``args.cache_dir`` from the parent parser.
+    """Add ``run-suite``, ``serve``, ``load-test`` and ``cache`` to the
+    unified CLI's subparsers object; handlers dispatch via
+    ``args.handler`` and expect ``args.cache_dir`` from the parent parser.
     """
     run = sub.add_parser("run-suite", help="compile the suite through the cache")
     run.set_defaults(handler=_cmd_run_suite)
@@ -238,21 +235,6 @@ def register_subcommands(sub) -> None:
     cache_sub.add_parser("clear", help="delete every cache entry")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Parallel cached compilation service for the flow suite.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache root (default: $REPRO_CACHE_DIR or {default_cache_dir()!r})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    register_subcommands(sub)
-    return parser
-
-
 def policy_from_args(args: argparse.Namespace) -> Optional[FailurePolicy]:
     """A :class:`FailurePolicy` from ``--failure-policy``/``--timeout``/
     ``--max-attempts``, or ``None`` when none were given (service default)."""
@@ -451,16 +433,3 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
         return 0
     return 2
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    # build_parser() itself can raise: default_jobs() validates
-    # $REPRO_JOBS at parser-construction time.
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except CompilationError as exc:
-        code = getattr(exc, "code", "REPRO-E000")
-        print(f"error[{code}]: {exc}", file=sys.stderr)
-        return 2

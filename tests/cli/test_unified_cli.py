@@ -1,4 +1,4 @@
-"""The unified ``python -m repro`` CLI and the deprecated shims."""
+"""The unified ``python -m repro`` CLI."""
 
 from __future__ import annotations
 
@@ -131,14 +131,3 @@ def test_unified_module_entry(tmp_path):
     )
     assert result.returncode == 0
     assert "REPRO-LINT-001" in result.stdout
-
-
-def test_dse_module_entry(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.dse", "--cache-dir", str(tmp_path / "c"),
-         "gemm", "--size", "MINI", "--space", "tiny", "--out", "-"],
-        capture_output=True, text=True, env=_module_env(),
-        cwd=str(tmp_path), timeout=300,
-    )
-    assert result.returncode == 0
-    assert "frontier" in result.stdout

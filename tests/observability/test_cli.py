@@ -1,4 +1,5 @@
-"""``python -m repro.observability`` CLI: trace/stats/diff/validate/hot."""
+"""The observability subcommands of ``python -m repro``:
+trace/stats/diff/validate/hot."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import os
 
 import pytest
 
-from repro.observability.cli import main
+from repro.cli import main
 from repro.observability.schema import validate_chrome_trace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

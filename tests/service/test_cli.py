@@ -1,10 +1,10 @@
-"""``python -m repro.service`` CLI: subcommands and exit codes."""
+"""The service subcommands of ``python -m repro``: parsing and exit codes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.cli import build_parser, main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
