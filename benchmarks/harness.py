@@ -24,8 +24,7 @@ from repro.observability import (
     use_statistics,
     use_tracer,
 )
-from repro.service import CompilationService, FailurePolicy, default_jobs
-from repro.testing import ChaosProfile
+from repro.service import CompilationService, default_jobs
 from repro.workloads.suite import SUITE_SIZES
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -46,31 +45,9 @@ CACHE_DIR = os.environ.get(
     "REPRO_CACHE_DIR", os.path.join(os.path.dirname(__file__), ".cache")
 )
 
-def _policy_from_env():
-    """A FailurePolicy from $REPRO_FAILURE_POLICY / $REPRO_TIMEOUT /
-    $REPRO_MAX_ATTEMPTS, or None (service default, fail-fast) when none
-    are set.  Lets CI run the benchmark suite resiliently — e.g.
-    ``REPRO_FAILURE_POLICY=retry REPRO_TIMEOUT=60 pytest benchmarks`` —
-    without touching the harness."""
-    mode = os.environ.get("REPRO_FAILURE_POLICY")
-    timeout = os.environ.get("REPRO_TIMEOUT")
-    attempts = os.environ.get("REPRO_MAX_ATTEMPTS")
-    if not (mode or timeout or attempts):
-        return None
-    return FailurePolicy(
-        mode=mode or "fail-fast",
-        timeout=float(timeout) if timeout else None,
-        max_attempts=int(attempts) if attempts else None,
-    )
-
-
 SERVICE = CompilationService(
     cache_dir=CACHE_DIR,
     jobs=default_jobs(),
-    policy=_policy_from_env(),
-    # $REPRO_CHAOS (e.g. "seed=42,crash=1") arms the deterministic fault
-    # injector for every harness batch — chaos-smoke CI only.
-    chaos=ChaosProfile.from_env(),
     # $REPRO_DAEMON=host:port routes every harness batch through a
     # running compile daemon instead of compiling in-process.
     daemon=os.environ.get("REPRO_DAEMON") or None,
@@ -124,16 +101,11 @@ def _run_suite(config_name: str):
     )
 
 
-def _dse_budget_from_env() -> Optional[int]:
-    value = os.environ.get("REPRO_DSE_BUDGET")
-    return int(value) if value else None
-
-
 def run_dse(
     kernel: str,
     space: str = "tiny",
     size_class: str = "MINI",
-    strategy: Optional[str] = None,
+    strategy: str = "exhaustive",
     budget: Optional[int] = None,
 ):
     """Explore ``kernel``'s directive space through the shared cache.
@@ -145,15 +117,11 @@ def run_dse(
     many fast points, and the SMALL-size tables already cover scale.
 
     ``strategy``/``budget`` select a budgeted search
-    (:mod:`repro.dse.search`); when not passed they fall back to
-    ``$REPRO_DSE_STRATEGY`` / ``$REPRO_DSE_BUDGET``, so CI can flip the
-    whole benchmark suite to e.g. ``halving``/32 without code changes.
-    The exhaustive default keeps the tables' historical meaning.
+    (:mod:`repro.dse.search`); the exhaustive default keeps the tables'
+    historical meaning.
     """
     from repro.dse import explore
 
-    strategy = strategy or os.environ.get("REPRO_DSE_STRATEGY") or "exhaustive"
-    budget = budget if budget is not None else _dse_budget_from_env()
     report = explore(
         kernel,
         size_class=size_class,

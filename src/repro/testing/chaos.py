@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
     "CHAOS_FAULTS",
@@ -107,11 +106,6 @@ class ChaosProfile:
                     f"chaos value {value!r} for {key!r} is not a number"
                 ) from None
         return cls(**kwargs)
-
-    @classmethod
-    def from_env(cls, var: str = "REPRO_CHAOS") -> Optional["ChaosProfile"]:
-        spec = os.environ.get(var)
-        return cls.from_spec(spec) if spec else None
 
     # -- assignment ---------------------------------------------------------
     def rank(self, fingerprint: str) -> str:

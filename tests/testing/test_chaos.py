@@ -36,13 +36,6 @@ class TestProfileSpec:
         with pytest.raises(ValueError):
             ChaosProfile.from_spec(spec)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert ChaosProfile.from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS", "seed=3,crash=1")
-        profile = ChaosProfile.from_env()
-        assert profile.seed == 3 and profile.crash == 1
-
 
 class TestAssignment:
     FPS = [request_fingerprint(f"kernel{i}", "sig", {"N": 8}) for i in range(6)]
