@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..hls.frontend import HLS_SUPPORTED_INTRINSIC_PREFIXES
 from ..ir.builder import IRBuilder
 from ..ir.instructions import Call, Instruction
 from ..ir.module import Function
@@ -26,26 +27,6 @@ from ..ir.types import IntegerType, i64, i8
 from ..ir.values import ConstantInt
 
 __all__ = ["IntrinsicLegalization", "HLS_SUPPORTED_INTRINSIC_PREFIXES"]
-
-# What the old fork accepts (see hls.frontend for the enforcement side).
-HLS_SUPPORTED_INTRINSIC_PREFIXES = (
-    "llvm.sqrt.",
-    "llvm.fabs.",
-    "llvm.pow.",
-    "llvm.exp.",
-    "llvm.log.",
-    "llvm.sin.",
-    "llvm.cos.",
-    "llvm.floor.",
-    "llvm.ceil.",
-    "llvm.fma.",
-    "llvm.fmuladd.",  # present since LLVM 3.2
-    "llvm.maxnum.",
-    "llvm.minnum.",
-    "llvm.copysign.",
-    "llvm.memcpy.p0i8.p0i8.",  # typed-pointer spelling only
-    "llvm.memset.p0i8.",
-)
 
 _MINMAX = {"llvm.smax": "sgt", "llvm.smin": "slt", "llvm.umax": "ugt", "llvm.umin": "ult"}
 _DROPPED_PREFIXES = ("llvm.lifetime.", "llvm.assume", "llvm.dbg.", "llvm.donothing")

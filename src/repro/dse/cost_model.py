@@ -67,13 +67,6 @@ _EST_LOOP_OVERHEAD = 1.0
 
 
 @dataclass
-class _LoopInfo:
-    level: int
-    trip_count: Optional[int]
-    iters_to_here: Optional[int]  # product of enclosing trips (incl. self)
-
-
-@dataclass
 class BodyProfile:
     """One innermost loop body, as the achieved-II model sees it.
 

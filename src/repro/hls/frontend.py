@@ -25,10 +25,16 @@ from ..ir.module import Function, Module
 from ..ir.types import StructType
 from ..ir.values import PoisonValue
 
-__all__ = ["HLSFrontend", "FrontendError", "FrontendDiagnostics"]
+__all__ = [
+    "HLSFrontend",
+    "FrontendError",
+    "FrontendDiagnostics",
+    "HLS_SUPPORTED_INTRINSIC_PREFIXES",
+]
 
-# Intrinsics the old fork knows (typed-pointer spellings only).
-_SUPPORTED_INTRINSIC_PREFIXES = (
+# Intrinsics the old fork knows (typed-pointer spellings only).  The
+# adaptor legalises everything else away and lint enforces the same list.
+HLS_SUPPORTED_INTRINSIC_PREFIXES = (
     "llvm.sqrt.",
     "llvm.fabs.",
     "llvm.pow.",
@@ -39,11 +45,11 @@ _SUPPORTED_INTRINSIC_PREFIXES = (
     "llvm.floor.",
     "llvm.ceil.",
     "llvm.fma.",
-    "llvm.fmuladd.",
+    "llvm.fmuladd.",  # present since LLVM 3.2
     "llvm.maxnum.",
     "llvm.minnum.",
     "llvm.copysign.",
-    "llvm.memcpy.p0i8.p0i8.",
+    "llvm.memcpy.p0i8.p0i8.",  # typed-pointer spelling only
     "llvm.memset.p0i8.",
 )
 _SUPPORTED_EXTERNALS = {
@@ -142,7 +148,7 @@ class HLSFrontend:
                 )
         if isinstance(inst, Call) and inst.is_intrinsic:
             name = inst.callee.name
-            if not any(name.startswith(p) for p in _SUPPORTED_INTRINSIC_PREFIXES):
+            if not any(name.startswith(p) for p in HLS_SUPPORTED_INTRINSIC_PREFIXES):
                 diag.errors.append(
                     f"{where}: unknown intrinsic @{name} (not in the old fork)"
                 )
@@ -158,7 +164,7 @@ class HLSFrontend:
     def _check_declaration(self, fn: Function, diag: FrontendDiagnostics) -> None:
         name = fn.name
         if name.startswith("llvm."):
-            if not any(name.startswith(p) for p in _SUPPORTED_INTRINSIC_PREFIXES):
+            if not any(name.startswith(p) for p in HLS_SUPPORTED_INTRINSIC_PREFIXES):
                 diag.errors.append(f"declaration of unknown intrinsic @{name}")
         elif name not in _SUPPORTED_EXTERNALS:
             diag.warnings.append(

@@ -28,7 +28,7 @@ from .instructions import (
     Unreachable,
 )
 from .module import BasicBlock, Function, Module
-from .types import FloatType, FunctionType, IntegerType, Type, f32, f64, i1, i32, i64
+from .types import FloatType, FunctionType, IntegerType, Type, i32, i64
 from .values import ConstantFloat, ConstantInt, Value
 
 __all__ = ["IRBuilder"]
@@ -83,12 +83,6 @@ class IRBuilder:
 
     def i64_(self, value: int) -> ConstantInt:
         return ConstantInt(i64, value)
-
-    def true_(self) -> ConstantInt:
-        return ConstantInt(i1, 1)
-
-    def false_(self) -> ConstantInt:
-        return ConstantInt(i1, 0)
 
     # -- arithmetic --------------------------------------------------------------
     def binop(self, opcode: str, lhs: Value, rhs: Value, name: str = "", **flags) -> Value:

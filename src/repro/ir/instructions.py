@@ -421,9 +421,6 @@ class Phi(Instruction):
                 return value
         return None
 
-    def set_incoming_value(self, index: int, value: Value) -> None:
-        self.set_operand(2 * index, value)
-
     def remove_incoming(self, block: Value) -> None:
         for i, (_value, pred) in enumerate(self.incoming):
             if pred is block:

@@ -237,16 +237,6 @@ class LoopDirectives:
             or self.dataflow
         )
 
-    def merged_with(self, other: "LoopDirectives") -> "LoopDirectives":
-        return LoopDirectives(
-            pipeline=self.pipeline or other.pipeline,
-            ii=self.ii if self.ii is not None else other.ii,
-            unroll=self.unroll if self.unroll is not None else other.unroll,
-            unroll_full=self.unroll_full or other.unroll_full,
-            flatten=self.flatten or other.flatten,
-            dataflow=self.dataflow or other.dataflow,
-        )
-
 
 @dataclass
 class InterfaceSpec:

@@ -96,10 +96,6 @@ class Type:
         return isinstance(self, StructType)
 
     @property
-    def is_vector(self) -> bool:
-        return isinstance(self, VectorType)
-
-    @property
     def is_function(self) -> bool:
         return isinstance(self, FunctionType)
 
@@ -338,10 +334,6 @@ class StructType(Type):
     def __str__(self) -> str:
         if self.name is not None:
             return f"%{self.name}"
-        body = ", ".join(str(e) for e in self.elements)
-        return f"<{{{body}}}>" if self.packed else f"{{{body}}}"
-
-    def body_str(self) -> str:
         body = ", ".join(str(e) for e in self.elements)
         return f"<{{{body}}}>" if self.packed else f"{{{body}}}"
 

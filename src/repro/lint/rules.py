@@ -306,7 +306,7 @@ def _no_poison(module: Module) -> Iterator[_Match]:
     "markers) must have been legalised away.",
 )
 def _intrinsic_whitelist(module: Module) -> Iterator[_Match]:
-    from ..adaptor.intrinsic_legalize import HLS_SUPPORTED_INTRINSIC_PREFIXES
+    from ..hls.frontend import HLS_SUPPORTED_INTRINSIC_PREFIXES
 
     def supported(name: str) -> bool:
         return any(name.startswith(p) for p in HLS_SUPPORTED_INTRINSIC_PREFIXES)

@@ -75,13 +75,6 @@ class OpBuilder:
         self.insert(loop.op)
         return loop
 
-    def scf_for(
-        self, lower: Value, upper: Value, step: Value, iter_inits: Sequence[Value] = ()
-    ) -> scf.ForOp:
-        loop = scf.for_(lower, upper, step, iter_inits)
-        self.insert(loop.op)
-        return loop
-
     @contextmanager
     def inside(self, loop):
         """Enter a loop body; on exit, append a terminator if missing."""

@@ -82,13 +82,6 @@ class StatisticsRegistry:
         with self._lock:
             return sorted(self._counters)
 
-    def nonzero_groups(self) -> List[str]:
-        with self._lock:
-            return sorted(
-                g for g, bucket in self._counters.items()
-                if any(v for v in bucket.values())
-            )
-
     def items(self) -> Iterator[Tuple[str, str, int]]:
         snapshot = self.as_dict()
         for group in sorted(snapshot):
