@@ -98,16 +98,10 @@ def decompose_linear_index(
 class GEPCanonicalization(ModulePass):
     name = "gep-canonicalize"
 
-    declares_touched = True
-
     def run_on_module(self, module: Module, stats: PassStatistics) -> None:
         for fn in module.defined_functions():
-            before_rewrites = stats.rewrites
-            before_version = fn.version
             self._merge_gep_chains(fn, stats)
             self._delinearize(fn, stats)
-            if stats.rewrites != before_rewrites or fn.version != before_version:
-                stats.touch(fn.name)
 
     # -- gep-of-gep merging ------------------------------------------------------
     def _merge_gep_chains(self, fn: Function, stats: PassStatistics) -> None:

@@ -198,7 +198,6 @@ class HLSAdaptor:
     def __init__(
         self,
         disable: Sequence[str] = (),
-        verify_each: bool = True,
         on_error: str = "raise",
         reproducer_dir: Optional[str] = None,
         engine: Optional[DiagnosticEngine] = None,
@@ -222,7 +221,6 @@ class HLSAdaptor:
                 f"unknown lint mode {lint!r}; valid: {list(self.LINT_MODES)}"
             )
         self.disabled = tuple(disable)
-        self.verify_each = verify_each
         self.on_error = on_error
         self.reproducer_dir = reproducer_dir
         self.engine = engine or DiagnosticEngine()
@@ -250,7 +248,7 @@ class HLSAdaptor:
         return None
 
     def _run_pipeline(self, module: Module, skip: set) -> List[PassStatistics]:
-        pm = PassManager(verify_each=self.verify_each, guard=self._make_guard())
+        pm = PassManager(guard=self._make_guard())
         for name in ADAPTOR_PASS_ORDER:
             if name in skip:
                 continue
@@ -321,13 +319,6 @@ class HLSAdaptor:
                 degradations=len(degradations),
             )
 
-        # With per-pass verification the pass manager already re-verified
-        # every function the pipeline touched (after each pass, or at its
-        # deferred flush), and the entry verify above covered the rest — a
-        # second full sweep would be pure duplicate work.  Without it this
-        # final check is the only one, so it stays.
-        if not self.verify_each:
-            verify_module(module)
         module.source_flow = "mlir-adaptor"
         lint_report = None
         if self.lint != "off":

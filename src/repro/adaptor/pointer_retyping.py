@@ -38,15 +38,9 @@ __all__ = ["PointerRetyping"]
 class PointerRetyping(ModulePass):
     name = "pointer-retyping"
 
-    declares_touched = True
-
     def run_on_module(self, module: Module, stats: PassStatistics) -> None:
         for fn in module.defined_functions():
             self._retype_function(fn, stats)
-            # Every function is rewritten in place (the signature is rebuilt
-            # and types are swapped without going through mutation APIs), so
-            # all of them must re-verify.
-            stats.touch(fn.name)
         module.opaque_pointers = False
 
     def _retype_function(self, fn: Function, stats: PassStatistics) -> None:

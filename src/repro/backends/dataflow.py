@@ -38,7 +38,7 @@ from ..hls.binding import AreaEstimate
 from ..hls.cdfg import BlockDFG, CarriedDep
 from ..hls.engine import InnermostSchedule
 from ..hls.memory import PORTS_PER_BANK
-from ..hls.modulo import rec_mii, res_mii
+from ..hls.modulo import carried_weight, rec_mii, res_mii
 from ..ir.metadata import LoopDirectives
 from .base import BackendCapabilities, HLSBackend, register_backend
 
@@ -77,16 +77,6 @@ class TokenSimResult:
         if trip <= self.simulated:
             return self.completions[trip - 1] + 2
         return self.completions[-1] + (trip - self.simulated) * self.ii + 2
-
-
-def _carried_weight(dep: CarriedDep) -> int:
-    """Token latency a carried dependence imposes (mirrors the modulo
-    scheduler's weights, plus the elastic-buffer hop on the back edge)."""
-    if dep.kind == "WAR":
-        return _BUFFER_DELAY
-    if dep.kind == "REG":
-        return dep.src.latency + _BUFFER_DELAY
-    return max(dep.src.latency, 1) + _BUFFER_DELAY
 
 
 class _PortLedger:
@@ -176,7 +166,8 @@ def simulate_tokens(
                     ready = max(
                         ready,
                         starts[i - dep.distance][id(dep.src)]
-                        + _carried_weight(dep),
+                        + carried_weight(dep)
+                        + _BUFFER_DELAY,
                     )
             if node.site is not None:
                 ready = ports.acquire(node.site, ready)

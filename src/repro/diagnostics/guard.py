@@ -53,7 +53,6 @@ class PassGuard:
         module,
         snapshot,
         pipeline_tail: List[str],
-        verify_each: bool,
         diagnostic: Diagnostic,
     ) -> str:
         """Roll ``module`` back and emit a crash reproducer; returns its path."""
@@ -62,7 +61,6 @@ class PassGuard:
             kind=self.kind,
             pipeline=list(pipeline_tail),
             failing_pass=pipeline_tail[0] if pipeline_tail else "",
-            verify_each=verify_each,
             diagnostic=diagnostic,
             module_text=snapshot.text,
             function_info=snapshot.function_info(),
@@ -77,7 +75,6 @@ class PassGuard:
 def raise_pass_failure(
     error_cls,
     guard: Optional[PassGuard],
-    verify_each: bool,
     module,
     snapshot,
     pipeline_tail: List[str],
@@ -98,7 +95,7 @@ def raise_pass_failure(
     )
     path = None
     if guard is not None and snapshot is not None:
-        path = guard.failure(module, snapshot, pipeline_tail, verify_each, diagnostic)
+        path = guard.failure(module, snapshot, pipeline_tail, diagnostic)
     raise error_cls(
         message,
         pass_name=pipeline_tail[0],

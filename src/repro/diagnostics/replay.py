@@ -142,6 +142,30 @@ def _matches(error: CompilationError, expected: Diagnostic) -> bool:
     return expected.pass_name is None or got_pass == expected.pass_name
 
 
+def _rerun(
+    reproducer: CrashReproducer, module, manager_cls, passes: List[object]
+) -> ReplayResult:
+    """Run ``passes`` over ``module``, each in its own ``manager_cls``.
+
+    A one-pass manager verifies right after its pass, as the guarded run
+    that wrote the reproducer did; one manager over the whole tail would
+    verify only at the end, after later passes may have rebuilt the IR.
+    """
+    error = None
+    try:
+        for pass_ in passes:
+            manager_cls().add(pass_).run(module)
+    except CompilationError as exc:
+        error = exc
+    return ReplayResult(
+        reproduced=error is not None and _matches(error, reproducer.diagnostic),
+        expected=reproducer.diagnostic,
+        error=error,
+        module=module,
+        pipeline=list(reproducer.pipeline),
+    )
+
+
 def _replay_ir(
     reproducer: CrashReproducer, instrument: Optional[Callable]
 ) -> ReplayResult:
@@ -150,25 +174,8 @@ def _replay_ir(
 
     module = parse_module(reproducer.module_text)
     _restore_function_info(module, reproducer.function_info)
-    pm = PassManager(verify_each=reproducer.verify_each)
-    for pass_ in _build_passes(reproducer.pipeline, ir_pass_registry(), instrument):
-        pm.add(pass_)
-    try:
-        pm.run(module)
-    except CompilationError as exc:
-        return ReplayResult(
-            reproduced=_matches(exc, reproducer.diagnostic),
-            expected=reproducer.diagnostic,
-            error=exc,
-            module=module,
-            pipeline=list(reproducer.pipeline),
-        )
-    return ReplayResult(
-        reproduced=False,
-        expected=reproducer.diagnostic,
-        module=module,
-        pipeline=list(reproducer.pipeline),
-    )
+    passes = _build_passes(reproducer.pipeline, ir_pass_registry(), instrument)
+    return _rerun(reproducer, module, PassManager, passes)
 
 
 def _replay_mlir(
@@ -178,24 +185,5 @@ def _replay_mlir(
     from ..mlir.passes.pass_manager import MLIRPassManager
 
     module = parse_mlir_module(reproducer.module_text)
-    pm = MLIRPassManager(verify_each=reproducer.verify_each)
-    for pass_ in _build_passes(
-        reproducer.pipeline, mlir_pass_registry(), instrument
-    ):
-        pm.add(pass_)
-    try:
-        pm.run(module)
-    except CompilationError as exc:
-        return ReplayResult(
-            reproduced=_matches(exc, reproducer.diagnostic),
-            expected=reproducer.diagnostic,
-            error=exc,
-            module=module,
-            pipeline=list(reproducer.pipeline),
-        )
-    return ReplayResult(
-        reproduced=False,
-        expected=reproducer.diagnostic,
-        module=module,
-        pipeline=list(reproducer.pipeline),
-    )
+    passes = _build_passes(reproducer.pipeline, mlir_pass_registry(), instrument)
+    return _rerun(reproducer, module, MLIRPassManager, passes)

@@ -51,7 +51,6 @@ class CrashReproducer:
     kind: str  # "ir" | "mlir"
     pipeline: List[str]  # failing pass first, then the not-yet-run tail
     failing_pass: str
-    verify_each: bool
     diagnostic: Diagnostic
     module_text: str
     function_info: Dict[str, dict] = field(default_factory=dict)
@@ -64,7 +63,6 @@ class CrashReproducer:
                 "kind": self.kind,
                 "pipeline": list(self.pipeline),
                 "failing_pass": self.failing_pass,
-                "verify_each": self.verify_each,
                 "diagnostic": self.diagnostic.to_dict(),
                 "function_info": self.function_info,
                 "module": self.module_text,
@@ -79,7 +77,6 @@ class CrashReproducer:
             kind=data["kind"],
             pipeline=list(data["pipeline"]),
             failing_pass=data["failing_pass"],
-            verify_each=bool(data.get("verify_each", True)),
             diagnostic=Diagnostic.from_dict(data["diagnostic"]),
             module_text=data["module"],
             function_info=dict(data.get("function_info", {})),

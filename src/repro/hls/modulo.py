@@ -21,7 +21,7 @@ from .cdfg import BlockDFG, CarriedDep, DFGNode
 from .memory import PORTS_PER_BANK
 from .schedule import _PortTable, list_schedule
 
-__all__ = ["ModuloSchedule", "modulo_schedule", "res_mii", "rec_mii"]
+__all__ = ["ModuloSchedule", "carried_weight", "modulo_schedule", "res_mii", "rec_mii"]
 
 
 @dataclass
@@ -33,7 +33,7 @@ class ModuloSchedule:
     rec_mii: int = 1
 
 
-def _carried_weight(dep: CarriedDep) -> int:
+def carried_weight(dep: CarriedDep) -> int:
     """Latency a carried dependence imposes across its distance.
 
     WAR needs no latency (the later write just must not overtake the read);
@@ -87,7 +87,7 @@ def _constraint_edges(dfg: BlockDFG, carried: List[CarriedDep]) -> List[Edge]:
         for succ, weight in node.succs
     ]
     edges.extend(
-        (index[id(dep.src)], index[id(dep.dst)], _carried_weight(dep), dep.distance)
+        (index[id(dep.src)], index[id(dep.dst)], carried_weight(dep), dep.distance)
         for dep in carried
     )
     return edges

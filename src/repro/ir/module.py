@@ -142,9 +142,9 @@ class Function(GlobalValue):
     ):
         super().__init__(PointerType(), name)
         # Monotonic mutation counter.  Structural edits (block/instruction
-        # insertion and removal, operand rewrites) bump it; the pass manager
-        # compares before/after values to decide which functions a pass
-        # actually touched and limits re-verification to those.
+        # insertion and removal, operand rewrites) bump it; the cached CFG
+        # orders and dominator tree and the verifier's clean token key on
+        # it.
         self.version = 0
         # Cached CFG orders and dominator tree, stamped with ``version``
         # (a ``repro.ir.analysis.cfg.FunctionAnalyses``, or None).

@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-def standard_cleanup_pipeline(verify: bool = True) -> PassManager:
+def standard_cleanup_pipeline() -> PassManager:
     """The -O1-style cleanup both flows run before HLS scheduling."""
-    pm = PassManager(verify_each=verify)
+    pm = PassManager()
     pm.add(Mem2Reg())
     pm.add(SparseConditionalConstantPropagation())
     pm.add(InstCombine())

@@ -65,7 +65,8 @@ class Value:
 
     def _touch(self) -> None:
         """Dirty-tracking hook: instructions bump their function's version
-        on mutation so incremental re-verification knows what changed."""
+        on mutation so version-keyed caches and the verifier's clean token
+        see the change."""
 
     # -- use lists ---------------------------------------------------------
     @property

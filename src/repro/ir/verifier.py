@@ -13,7 +13,7 @@ Checks the invariants every pass must preserve:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List
 
 from ..diagnostics.errors import CompilationError
 from .analysis.cfg import reachable_blocks
@@ -34,7 +34,7 @@ __all__ = [
 #: module -> clean token: the per-function version vector (plus symbol
 #: identity) at the moment the module last passed a whole-module verify.
 #: It lets *boundary* re-verification be dropped — e.g. the adaptor
-#: verifying an input module the MLIR lowering verified microseconds
+#: verifying an input module the cleanup pipeline verified microseconds
 #: earlier.  Any mutation through the IR's APIs bumps a function version
 #: and invalidates the token.  The token holds only ints, never the module.
 _CLEAN_TOKENS: ValueSideTable = ValueSideTable("verified-clean")
@@ -55,9 +55,8 @@ def is_recorded_clean(module: Module) -> bool:
 def record_clean(module: Module) -> None:
     """Record the module's current state as verified-clean.
 
-    Callers other than :func:`verify_module` itself must be able to prove
-    whole-module cleanliness — e.g. the pass manager after a narrowed
-    flush that covered every function changed since a recorded-clean state.
+    :func:`verify_module` calls this after every passing verify; other
+    callers must have proven the whole module clean themselves.
     """
     _CLEAN_TOKENS.set(module, _clean_token(module))
 
@@ -72,45 +71,33 @@ class VerificationError(CompilationError):
         self.errors = errors
 
 
-def verify_module(
-    module: Module,
-    functions: Optional[Iterable[str]] = None,
-    *,
-    assume_clean: bool = False,
-) -> None:
-    """Verify ``module``.
+def verify_module(module: Module, *, assume_clean: bool = False) -> None:
+    """Verify every function of ``module`` and its symbol table.
 
-    ``functions`` limits the (expensive) per-function structural/SSA checks
-    to the named functions; the cheap module-level symbol-table checks always
-    run over everything.  The pass manager uses this for incremental
-    re-verification: after a pass it re-verifies only the functions the
-    pass's dirty tracking reports as touched.  ``None`` means verify all.
-
-    ``assume_clean=True`` lets a full verify return immediately when the
-    module is byte-for-byte unchanged (per its version vector) since it
-    last passed one — for pipeline-boundary verifies of modules another
-    stage just checked.  Callers that verify *untrusted* state
-    (e.g. after a pass with no dirty-tracking promise) must not set it.
+    ``assume_clean=True`` lets the verify return immediately when the
+    module is unchanged (per its version vector) since it last passed one
+    — for pipeline-boundary verifies of modules another stage just
+    checked.  The token trusts ``Function.version``: code that edits IR
+    outside the mutation APIs (assigning ``type`` or operands directly,
+    say) must bump the version, e.g. through ``_touch()``, or a corrupt
+    module passes for clean.
     """
-    if assume_clean and functions is None and is_recorded_clean(module):
+    if assume_clean and is_recorded_clean(module):
         return
     errors: List[str] = []
     seen_names = set()
-    selected = None if functions is None else set(functions)
     for fn in module.functions:
         if fn.name in seen_names:
             errors.append(f"duplicate function name @{fn.name}")
         seen_names.add(fn.name)
-        if selected is None or fn.name in selected:
-            errors.extend(_function_errors(fn))
+        errors.extend(_function_errors(fn))
     for g in module.globals:
         if g.name in seen_names:
             errors.append(f"global @{g.name} collides with another symbol")
         seen_names.add(g.name)
     if errors:
         raise VerificationError(errors)
-    if selected is None:
-        record_clean(module)
+    record_clean(module)
 
 
 def verify_function(fn: Function) -> None:

@@ -42,9 +42,8 @@ class MLIRPass:
 
 
 class MLIRPassManager:
-    def __init__(self, verify_each: bool = True, guard: Optional[PassGuard] = None):
+    def __init__(self, guard: Optional[PassGuard] = None):
         self.passes: List[MLIRPass] = []
-        self.verify_each = verify_each
         self.guard = guard
         self.history: List[MLIRPassStatistics] = []
 
@@ -65,7 +64,7 @@ class MLIRPassManager:
         # verifier cannot model, so it is the last verifiable point).  A
         # guarded manager verifies after every pass, so a failure is
         # blamed on, and rolled back to before, the pass that caused it.
-        defer = self.guard is None and self.verify_each
+        defer = self.guard is None
         pending = False
         for i, pass_ in enumerate(self.passes):
             snapshot = self.guard.snapshot(module) if self.guard is not None else None
@@ -79,7 +78,6 @@ class MLIRPassManager:
                     raise_pass_failure(
                         PassExecutionError,
                         self.guard,
-                        self.verify_each,
                         module,
                         snapshot,
                         names[i:],
@@ -102,10 +100,8 @@ class MLIRPassManager:
                     pending = pending or stats.rewrites > 0
                 next_name = names[i + 1] if i + 1 < len(names) else None
                 at_boundary = next_name is None or next_name == "scf-to-cf"
-                if (
-                    self.verify_each
-                    and pass_.name not in ("scf-to-cf",)
-                    and (not defer or (pending and at_boundary))
+                if pass_.name != "scf-to-cf" and (
+                    not defer or (pending and at_boundary)
                 ):
                     # cf-level IR uses block successors the structured verifier
                     # does not model; ConvertToLLVM's verifier covers it.
@@ -117,7 +113,6 @@ class MLIRPassManager:
                             raise_pass_failure(
                                 PassVerificationError,
                                 self.guard,
-                                self.verify_each,
                                 module,
                                 snapshot,
                                 names[i:],

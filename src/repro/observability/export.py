@@ -150,8 +150,8 @@ def hot_ranking(
 ) -> List[Dict[str, Any]]:
     """Aggregate span wall time by name within one category, hottest first.
 
-    Self time is total time minus same-category descendants, so a fused
-    pass group does not double-charge the passes tiled inside it.  Rows
+    Self time is total time minus same-category descendants, so a span
+    nested inside another of its category is not charged twice.  Rows
     carry ``name``/``count``/``total_s``/``self_s``/``mean_s``/``share``
     (share of the category's summed self time).
     """

@@ -141,7 +141,9 @@ def _corrupt_phi_type(module: Module, rng: random.Random) -> bool:
     ]
     if not phis:
         return False
-    rng.choice(phis).type = FloatType("double")
+    phi = rng.choice(phis)
+    phi.type = FloatType("double")
+    phi._touch()  # a bare type write bumps no version: void the clean token
     return True
 
 

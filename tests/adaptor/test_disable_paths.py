@@ -1,13 +1,11 @@
-"""HLSAdaptor configuration error paths: unknown ``disable`` names, the
-report's disabled-pass bookkeeping, and ``verify_each=False`` behaviour."""
+"""HLSAdaptor configuration error paths: unknown ``disable`` names and the
+report's disabled-pass bookkeeping."""
 
 import pytest
 
 from repro.adaptor import ADAPTOR_PASS_ORDER, HLSAdaptor
 from repro.diagnostics import PipelineConfigError
-from repro.ir import verify_module
-from repro.ir.verifier import VerificationError
-from repro.testing import build_seed_module, inject_into
+from repro.testing import build_seed_module
 
 
 @pytest.fixture
@@ -62,22 +60,3 @@ class TestDisabledReportFields:
         assert report.disabled == ()
         assert [p.name for p in report.passes] == list(ADAPTOR_PASS_ORDER)
 
-
-class TestVerifyEachOff:
-    def test_corruption_caught_by_final_verify(self, tmp_path, seed_module):
-        """With per-pass verification off, a corrupting pass is not caught
-        at its own boundary — but the pipeline's final verify still refuses
-        to hand back broken IR.  (The fault goes into the *last* pass:
-        corruption injected earlier can be rebuilt away by downstream
-        passes, which is exactly why this is the interesting case.)"""
-        adaptor = HLSAdaptor(
-            verify_each=False,
-            instrument=inject_into("final-dce", mode="corrupt-operand"),
-        )
-        with pytest.raises(VerificationError):
-            adaptor.run(seed_module)
-
-    def test_verify_each_off_clean_run_succeeds(self, seed_module):
-        report = HLSAdaptor(verify_each=False).run(seed_module)
-        assert report.total_rewrites > 0
-        verify_module(seed_module)

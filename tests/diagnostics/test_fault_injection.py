@@ -158,3 +158,15 @@ class TestPipelineInvariant:
         outcome, err = adapt_or_reject(module, reproducer_dir=str(tmp_path))
         assert outcome == "rejected"
         assert err.code == "REPRO-INPUT-001" or isinstance(err, VerificationError)
+
+    def test_retyped_phi_is_rejected_as_input(self):
+        # The retype must void the clean token the seed's cleanup recorded,
+        # so the adaptor's entry verify rejects the module instead of its
+        # last pass taking the blame.
+        from repro.testing.fault_injection import _mut_phi_retype
+
+        module = build_seed_module("gemm", NI=4, NJ=4, NK=4)
+        assert _mut_phi_retype(module, IRMutationFuzzer(seed=0).rng)
+        outcome, err = adapt_or_reject(module)
+        assert outcome == "rejected"
+        assert err.code == "REPRO-INPUT-001"

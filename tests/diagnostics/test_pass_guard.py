@@ -3,6 +3,7 @@ and replay — for both the IR and the MLIR pass managers."""
 
 import json
 import os
+import random
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.diagnostics import (
     replay,
 )
 from repro.ir import print_module, verify_module
+from repro.ir.transforms import DeadCodeElimination
 from repro.testing import FaultInjected, inject_into
+from repro.testing.fault_injection import _corrupt_operand
 from repro.adaptor import HLSAdaptor
 
 
@@ -83,7 +86,7 @@ class TestGuardedFailure:
         rep = CrashReproducer.load(ei.value.reproducer_path)
         assert rep.failing_pass == "attr-scrub"
 
-    def test_corrupting_fault_is_caught_by_verify_each(self, tmp_path, seed_module):
+    def test_corrupting_fault_is_caught_post_pass(self, tmp_path, seed_module):
         adaptor = HLSAdaptor(
             reproducer_dir=str(tmp_path),
             instrument=inject_into("dce", mode="corrupt-operand"),
@@ -134,6 +137,27 @@ class TestReplay:
         assert result.module is not None
         verify_module(result.module)
 
+    def test_replay_reproduces_verification_failure(self, tmp_path, seed_module):
+        # A plain function pass that corrupts the IR: replay must verify it
+        # right after it runs, as the guarded run did, before the rest of
+        # the pipeline can rebuild the broken instruction away.
+        class CorruptingDCE(DeadCodeElimination):
+            def run_on_function(self, fn, stats):
+                super().run_on_function(fn, stats)
+                _corrupt_operand(fn.module, random.Random(0))
+
+        def fault(name, pass_):
+            return CorruptingDCE() if name == "dce" else pass_
+
+        adaptor = HLSAdaptor(reproducer_dir=str(tmp_path), instrument=fault)
+        with pytest.raises(PassVerificationError) as ei:
+            adaptor.run(seed_module)
+        assert ei.value.pass_name == "dce"
+        result = replay(ei.value.reproducer_path, instrument=fault)
+        assert result.reproduced
+        assert result.diagnostic.code == "REPRO-PASS-002"
+        assert result.diagnostic.pass_name == "dce"
+
     def test_replay_rejects_garbage_file(self, tmp_path):
         bad = tmp_path / "not-a-reproducer.repro.json"
         bad.write_text("{json but wrong}")
@@ -167,7 +191,7 @@ class TestMLIRGuard:
             engine=DiagnosticEngine(),
             pipeline_name="mlir-lowering",
         )
-        pm = MLIRPassManager(verify_each=True, guard=guard)
+        pm = MLIRPassManager(guard=guard)
         pm.add(BoomPass())
         with pytest.raises(PassExecutionError) as ei:
             pm.run(spec.module)

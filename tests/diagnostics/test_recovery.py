@@ -93,7 +93,7 @@ class TestIncrementalHistory:
             def run(self, module):  # pragma: no cover - not used
                 raise RuntimeError("nope")
 
-        pm = PassManager(verify_each=False)
+        pm = PassManager()
         pm.add(Mem2Reg())
         pm.add(DeadCodeElimination())
         pm.add(Boom())
@@ -105,7 +105,7 @@ class TestIncrementalHistory:
         assert "boom" not in names  # it never completed
 
     def test_history_matches_run_stats_on_success(self, seed_module):
-        pm = PassManager(verify_each=False)
+        pm = PassManager()
         pm.add(Mem2Reg())
         pm.add(DeadCodeElimination())
         stats = pm.run(seed_module)

@@ -21,7 +21,7 @@ from repro.adaptor import HLSAdaptor
 from repro.backends import backend_ids, create_backend
 from repro.flows.config import OptimizationConfig
 from repro.hls.cdfg import BlockDFG, CarriedDep, DFGNode
-from repro.hls.modulo import _carried_weight, modulo_schedule, rec_mii
+from repro.hls.modulo import carried_weight, modulo_schedule, rec_mii
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir.passes import convert_to_llvm, lowering_pipeline
 from repro.service.service import resolve_config
@@ -45,7 +45,7 @@ def scan_rec_mii(dfg: BlockDFG, carried, max_ii: int = 4096) -> int:
             edges.append((index[id(node)], index[id(succ)], weight, 0))
     for dep in carried:
         edges.append(
-            (index[id(dep.src)], index[id(dep.dst)], _carried_weight(dep), dep.distance)
+            (index[id(dep.src)], index[id(dep.dst)], carried_weight(dep), dep.distance)
         )
 
     def has_positive_cycle(ii: int) -> bool:

@@ -3,6 +3,7 @@
 Every case lowers a one-op elementwise kernel (``lowering_pipeline`` then
 ``convert_to_llvm``) and runs it in the IR interpreter, the one executor
 behind every equivalence verdict; its stored results must equal NumPy's.
+The float compares also go through HLS C++ codegen and the C frontend.
 The lanes mix signs and carry zeros, infinities and NaN where the op is
 defined on them, so rounding direction, unsigned order and IEEE special
 values are all pinned.
@@ -11,6 +12,8 @@ values are all pinned.
 import numpy as np
 import pytest
 
+from repro.hlscpp import compile_hls_cpp, generate_hls_cpp
+from repro.ir import run_kernel
 from repro.mlir import FunctionType, ModuleOp, OpBuilder, f32, f64, i1, i32, index, memref
 from repro.mlir.affine_expr import AffineMap, d
 from repro.mlir.core import IntType
@@ -30,8 +33,9 @@ _ELEMENT_TYPES = {
 }
 
 
-def run_op(build, result_dtype, *operands):
-    """``out[i] = build(x0[i], x1[i], ...)`` over the lanes, lowered and run."""
+def op_kernel(build, result_dtype, *operands):
+    """The kernel ``f``: ``out[i] = build(x0[i], x1[i], ...)`` over the
+    lanes, and its argument arrays."""
     n = len(operands[0])
     names = [f"x{k}" for k in range(len(operands))]
     types = [memref(n, _ELEMENT_TYPES[a.dtype]) for a in operands]
@@ -47,6 +51,12 @@ def run_op(build, result_dtype, *operands):
         b.insert(affine.store(b.insert(build(*values)).result, fn.arguments[-1], [i]))
     b.insert(func.return_())
     arrays = dict(zip(names, operands), out=np.zeros(n, result_dtype))
+    return mod, arrays
+
+
+def run_op(build, result_dtype, *operands):
+    """:func:`op_kernel` lowered and run."""
+    mod, arrays = op_kernel(build, result_dtype, *operands)
     return run_lowered(mod, "f", arrays)["out"]
 
 
@@ -186,6 +196,15 @@ def test_op_matches_numpy(build, operands, want, ulps):
         np.testing.assert_array_max_ulp(got, want, maxulp=ulps)
     else:
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("pred", CMPF_PREDICATES)
+def test_cmpf_through_hls_cpp(pred):
+    """The same compares through HLS C++ codegen and the C frontend: C's
+    ordered operators must not leak into the unordered predicates."""
+    mod, arrays = op_kernel(lambda a, b: arith.cmpf(pred, a, b), np.bool_, F, G)
+    got = run_kernel(compile_hls_cpp(generate_hls_cpp(mod)), "f", arrays)["out"]
+    np.testing.assert_array_equal(got, _cmpf(pred, F, G))
 
 
 def test_periodic_read_wraps_with_affine_mod():

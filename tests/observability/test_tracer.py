@@ -120,35 +120,31 @@ class TestPassSpans:
         assert span_rewrites == [st.rewrites for st in stats]
 
     def test_each_pass_followed_by_verify_child_span(self):
-        # A guarded manager verifies after every pass, narrowed to the
-        # functions it touched: one verify span per pass that touched one.
+        # A guarded manager verifies after every pass: one verify span
+        # under every pass span.
         _, module = lowered_gemm_ir()
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()
             pm.guard = PassGuard(kind="ir")
             pm.run(module)
-        touched = [bool(st.touched) for st in pm.history]
-        assert any(touched), "cleanup pipeline touched nothing"
-        verified = [
-            [c.name for c in span.children] == ["verify"]
-            for span in tracer.by_category("pass")
-        ]
-        assert verified == touched
-        assert len(tracer.find("verify")) == sum(touched)
+        pass_spans = tracer.by_category("pass")
+        assert len(pass_spans) == len(pm.history)
+        for span in pass_spans:
+            assert [c.name for c in span.children] == ["verify"]
+        assert len(tracer.find("verify")) == len(pass_spans)
 
-    def test_fast_mode_verifies_at_most_once_per_group(self, axpy_module):
-        # Unguarded, the (all-function-pass) cleanup pipeline fuses into a
-        # single walk verified once; pass spans are still one per pass.
+    def test_unguarded_run_verifies_once_under_last_pass(self, axpy_module):
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()
             pm.run(axpy_module)
-        assert len(tracer.by_category("pass")) == len(pm.history)
+        pass_spans = tracer.by_category("pass")
+        assert len(pass_spans) == len(pm.history)
         verifies = tracer.find("verify")
-        assert len(verifies) <= 1
-        if any(st.rewrites for st in pm.history):
-            assert len(verifies) == 1
+        assert len(verifies) == 1
+        assert pass_spans[-1].children == verifies
+        assert all(not span.children for span in pass_spans[:-1])
 
 
 class TestDisabledTracer:
