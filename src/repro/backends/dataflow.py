@@ -21,11 +21,12 @@ Consequences the reports make visible:
   binder's for the same IR;
 * the memory system is shared with the static backend (same
   :class:`~repro.hls.memory.MemoryModel`, same banking, same
-  ports-per-bank), so ``partition`` directives matter just as much.
+  :class:`~repro.hls.memory.PortLedger`), so ``partition`` directives
+  matter just as much.
 
-This module holds only what is dataflow-specific — the token simulator,
-its port ledger and the handshake area model — as the hooks of the
-shared loop-tree synthesizer (:func:`repro.hls.engine.synthesize_loop_tree`):
+This module holds only what is dataflow-specific — the token simulator
+and the handshake area model — as the hooks of the shared loop-tree
+synthesizer (:func:`repro.hls.engine.synthesize_loop_tree`):
 backends differ in scheduling, never in how they read the IR.
 """
 
@@ -37,7 +38,7 @@ from typing import Dict, List, Tuple
 from ..hls.binding import AreaEstimate
 from ..hls.cdfg import BlockDFG, CarriedDep
 from ..hls.engine import InnermostSchedule
-from ..hls.memory import PORTS_PER_BANK
+from ..hls.memory import PortLedger
 from ..hls.modulo import carried_weight, rec_mii, res_mii
 from ..ir.metadata import LoopDirectives
 from .base import BackendCapabilities, HLSBackend, register_backend
@@ -77,35 +78,6 @@ class TokenSimResult:
         if trip <= self.simulated:
             return self.completions[trip - 1] + 2
         return self.completions[-1] + (trip - self.simulated) * self.ii + 2
-
-
-class _PortLedger:
-    """Per-cycle memory-port arbitration across the whole simulation.
-
-    Tokens fire in dataflow order, but a load/store still needs a free
-    port on its bank that cycle; a wildcard access (bank unresolvable)
-    must reserve a port on every bank of its buffer, exactly as the
-    static scheduler's port table treats it."""
-
-    def __init__(self):
-        self._used: Dict[Tuple[int, int, int], int] = {}
-
-    def acquire(self, site, ready: int) -> int:
-        buffer = site.buffer
-        banks = (
-            list(range(buffer.banks)) if site.bank is None else [site.bank]
-        )
-        cycle = ready
-        while True:
-            if all(
-                self._used.get((id(buffer), bank, cycle), 0) < PORTS_PER_BANK
-                for bank in banks
-            ):
-                for bank in banks:
-                    key = (id(buffer), bank, cycle)
-                    self._used[key] = self._used.get(key, 0) + 1
-                return cycle
-            cycle += 1
 
 
 def _topological(dfg: BlockDFG) -> List:
@@ -149,7 +121,7 @@ def simulate_tokens(
         carried_in.setdefault(id(dep.dst), []).append(dep)
 
     simulated = max(1, min(trips, window))
-    ports = _PortLedger()
+    ports = PortLedger()
     starts: List[Dict[int, int]] = []
     completions: List[int] = []
     for i in range(simulated):

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..flows.config import OptimizationConfig, loop_level
 from ..hls.device import DEVICES, Device
+from ..hls.memory import PORTS_PER_BANK
 from ..mlir.dialects.affine import ForOp
 from ..workloads.polybench import KernelSpec
 
@@ -93,7 +94,7 @@ class BodyProfile:
         ``res_mii``, so the floor is admissible.  Recurrence floor: a
         memory-carried reduction needs the store before the next load.
         """
-        port = -(-self.peak_accesses // (2 * max(1, banks)))
+        port = -(-self.peak_accesses // (PORTS_PER_BANK * max(1, banks)))
         recurrence = 2 if self.carried_reduction else 1
         return max(port, recurrence, 1)
 
@@ -338,10 +339,10 @@ def estimate(
         if factor <= 1:
             continue
         if level == 0:
-            # Innermost unrolling widens the body; memory ports (2/bank)
-            # bound how much of it runs concurrently.
+            # Innermost unrolling widens the body; memory ports
+            # (PORTS_PER_BANK per bank) bound how much of it runs concurrently.
             copies *= factor
-            speedup *= min(factor, max(1, 2 * banks))
+            speedup *= min(factor, max(1, PORTS_PER_BANK * banks))
         else:
             # Outer unrolling replicates the datapath *regardless* of
             # whether the banks can feed the copies — the engine

@@ -9,12 +9,13 @@ dual-port (2 accesses/cycle), matching 7-series BRAM18.
 affine summary of its partition-dimension subscript: a constant residue
 pins the access to one bank; otherwise the access conflicts with every
 bank of the buffer (conservative, like Vitis when it cannot prove banking).
+:class:`PortLedger` holds that port rule for every scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.instructions import Alloca, GetElementPtr, Instruction, Load, Store
 from ..ir.module import Function
@@ -23,7 +24,7 @@ from ..ir.types import ArrayType, Type
 from ..ir.values import Argument, ConstantInt, Value
 from .affine_summary import AffineSummary, summarize_index
 
-__all__ = ["BufferInfo", "MemoryModel", "AccessSite"]
+__all__ = ["AccessSite", "BufferInfo", "MemoryModel", "PortLedger", "port_banks"]
 
 PORTS_PER_BANK = 2
 BRAM18_BITS = 18 * 1024
@@ -64,6 +65,45 @@ class AccessSite:
     buffer: BufferInfo
     index_summaries: Tuple[AffineSummary, ...]  # per GEP index (post-leading-0)
     bank: Optional[int] = None  # None = may hit any bank
+
+
+def port_banks(site: AccessSite) -> Sequence[int]:
+    """The banks an access takes a port on: its own, or every bank of its
+    buffer when the bank is unknown."""
+    return range(site.buffer.banks) if site.bank is None else (site.bank,)
+
+
+class PortLedger:
+    """Memory-port use per (buffer, bank, slot), at most
+    ``PORTS_PER_BANK`` per bank and slot (:func:`port_banks` says which
+    banks an access takes).  A slot is a cycle; with a ``period`` it is
+    ``cycle % period``, the slot of a modulo reservation table."""
+
+    def __init__(self, period: int = 0):
+        self.period = period
+        self._used: Dict[Tuple[int, int, int], int] = {}
+
+    def acquire(self, site: AccessSite, cycle: int,
+                tries: Optional[int] = None) -> Optional[int]:
+        """Take ``site``'s ports at the first cycle from ``cycle`` on where
+        they are all free, and return that cycle; None when ``tries``
+        cycles were all full."""
+        buf = id(site.buffer)
+        banks = port_banks(site)
+        used = self._used
+        end = None if tries is None else cycle + tries
+        while cycle != end:
+            slot = cycle % self.period if self.period else cycle
+            for bank in banks:
+                if used.get((buf, bank, slot), 0) >= PORTS_PER_BANK:
+                    break
+            else:
+                for bank in banks:
+                    key = (buf, bank, slot)
+                    used[key] = used.get(key, 0) + 1
+                return cycle
+            cycle += 1
+        return None
 
 
 class MemoryModel:

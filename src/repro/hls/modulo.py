@@ -8,8 +8,9 @@ Computes the achievable initiation interval of a loop body:
   cycle-ratio jumps on the constraint graph (edge weight
   ``latency(u) - II * distance(u,v)``), see :func:`_rec_mii`.
 * **Schedule feasibility** — greedy modulo list scheduling against a modulo
-  reservation table of memory ports; II is bumped until a legal schedule
-  exists (bounded by the sequential body length, which always succeeds).
+  reservation table of memory ports (a :class:`PortLedger` with ``II``
+  slots); II is bumped until a legal schedule exists (bounded by the
+  sequential body length, which always succeeds).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cdfg import BlockDFG, CarriedDep, DFGNode
-from .memory import PORTS_PER_BANK
-from .schedule import _PortTable, list_schedule
+from .memory import PORTS_PER_BANK, PortLedger, port_banks
+from .schedule import list_schedule
 
 __all__ = ["ModuloSchedule", "carried_weight", "modulo_schedule", "res_mii", "rec_mii"]
 
@@ -48,28 +49,15 @@ def carried_weight(dep: CarriedDep) -> int:
 
 
 def res_mii(dfg: BlockDFG) -> int:
-    """Memory-port lower bound on II."""
-    pressure: Dict[Tuple[int, Optional[int]], int] = {}
-    banks_of: Dict[int, int] = {}
+    """Memory-port lower bound on II: the busiest bank's accesses per
+    iteration over its ports, banks taken as :class:`PortLedger` takes them."""
+    demand: Dict[Tuple[int, int], int] = {}
     for node in dfg.nodes:
-        if node.site is None:
-            continue
-        buf = id(node.site.buffer)
-        banks_of[buf] = node.site.buffer.banks
-        key = (buf, node.site.bank)
-        pressure[key] = pressure.get(key, 0) + 1
-    best = 1
-    # Per-bank pressure; wildcard accesses press on every bank.
-    for (buf, bank), count in pressure.items():
-        if bank is None:
-            continue
-        wild = pressure.get((buf, None), 0)
-        best = max(best, -(-(count + wild) // PORTS_PER_BANK))
-    for (buf, bank), count in pressure.items():
-        if bank is not None:
-            continue
-        best = max(best, -(-count // PORTS_PER_BANK))
-    return best
+        if node.site is not None:
+            buf = id(node.site.buffer)
+            for bank in port_banks(node.site):
+                demand[buf, bank] = demand.get((buf, bank), 0) + 1
+    return max((-(-n // PORTS_PER_BANK) for n in demand.values()), default=1)
 
 
 # A constraint edge ``(u, v, latency, distance)`` over node indices: node
@@ -219,24 +207,15 @@ def _try_schedule(
     # Greedy MRT placement in earliest order; pushed nodes re-relax once.
     for _iteration in range(3):
         order = sorted(range(len(nodes)), key=lambda i: (earliest[i], i))
-        mrt: List[_PortTable] = [_PortTable() for _ in range(ii)]
+        mrt = PortLedger(period=ii)
         placed = list(earliest)
-        ok = True
         for i in order:
-            node = nodes[i]
-            t = placed[i]
-            success = False
-            for _attempt in range(ii):
-                if node.site is None or mrt[t % ii].try_reserve(node.site):
-                    placed[i] = t
-                    success = True
-                    break
-                t += 1
-            if not success:
-                ok = False
-                break
-        if not ok:
-            return None
+            site = nodes[i].site
+            if site is not None:
+                t = mrt.acquire(site, placed[i], tries=ii)
+                if t is None:
+                    return None
+                placed[i] = t
         # Check every constraint under the placed schedule.
         if all(placed[u] + lat - ii * d <= placed[v] for u, v, lat, d in edges):
             return {id(nodes[i]): placed[i] for i in range(len(nodes))}

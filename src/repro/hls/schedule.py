@@ -4,9 +4,9 @@ Cycle-by-cycle list scheduling with:
 
 * def-use readiness (a consumer starts once every producer's result is
   available; zero-latency producers chain within the same cycle);
-* memory-port constraints — at most ``ports`` accesses per (buffer, bank)
-  per cycle, with bank-unknown accesses conservatively blocking the whole
-  buffer.
+* memory-port constraints — :class:`~repro.hls.memory.PortLedger`'s rule:
+  at most ``PORTS_PER_BANK`` accesses per (buffer, bank) per cycle, a
+  bank-unknown access taking a port on every bank of its buffer.
 
 Functional units are unconstrained at scheduling time (Vitis default);
 binding counts the instances the schedule actually needs afterwards.
@@ -15,10 +15,10 @@ binding counts the instances the schedule actually needs afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .cdfg import BlockDFG, DFGNode
-from .memory import MemoryModel, PORTS_PER_BANK
+from .memory import PortLedger
 
 __all__ = ["BlockSchedule", "list_schedule"]
 
@@ -32,34 +32,6 @@ class BlockSchedule:
 
     def start_of(self, node: DFGNode) -> int:
         return self.starts[id(node)]
-
-
-class _PortTable:
-    """Per-cycle memory-port occupancy for one scheduling cycle (or one
-    modulo slot).  A bank-known access takes one port on its bank; a
-    bank-unknown access takes one port on *every* bank of the buffer."""
-
-    def __init__(self):
-        self.bank_usage: Dict[Tuple[int, int], int] = {}
-        self.wildcard: Dict[int, int] = {}
-
-    def try_reserve(self, site) -> bool:
-        buf = id(site.buffer)
-        wild = self.wildcard.get(buf, 0)
-        if site.bank is not None:
-            used = self.bank_usage.get((buf, site.bank), 0) + wild
-            if used >= PORTS_PER_BANK:
-                return False
-            self.bank_usage[(buf, site.bank)] = self.bank_usage.get((buf, site.bank), 0) + 1
-            return True
-        worst = max(
-            (u for (b, _bank), u in self.bank_usage.items() if b == buf),
-            default=0,
-        )
-        if wild + worst >= PORTS_PER_BANK:
-            return False
-        self.wildcard[buf] = wild + 1
-        return True
 
 
 def list_schedule(dfg: BlockDFG, max_cycles: int = 1_000_000) -> BlockSchedule:
@@ -87,9 +59,9 @@ def list_schedule(dfg: BlockDFG, max_cycles: int = 1_000_000) -> BlockSchedule:
 
     ready: List[DFGNode] = [n for n in dfg.nodes if remaining[id(n)] == 0]
     unscheduled = len(dfg.nodes)
+    ports = PortLedger()
     cycle = 0
     while unscheduled and cycle < max_cycles:
-        ports = _PortTable()
         # Loop until no more nodes fit this cycle (zero-latency chaining can
         # make new nodes ready within the same cycle).
         progressed = True
@@ -99,7 +71,8 @@ def list_schedule(dfg: BlockDFG, max_cycles: int = 1_000_000) -> BlockSchedule:
             for node in list(ready):
                 if earliest[id(node)] > cycle:
                     continue
-                if node.site is not None and not ports.try_reserve(node.site):
+                site = node.site
+                if site is not None and ports.acquire(site, cycle, tries=1) is None:
                     continue
                 schedule.starts[id(node)] = cycle
                 unscheduled -= 1

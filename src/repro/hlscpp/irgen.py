@@ -67,6 +67,9 @@ _MATH_EXTERNALS = {
     "sinf", "sin", "cosf", "cos", "powf", "pow", "floorf", "floor",
     "ceilf", "ceil",
 }
+# fma rounds once, as MLIR's math.fma does: an intrinsic call, not an fmul
+# then an fadd.
+_FMA = {"fmaf": "llvm.fma.f32", "fma": "llvm.fma.f64"}
 
 
 def _ir_type(ctype: CType) -> irt.Type:
@@ -472,28 +475,20 @@ class _FunctionIRGen:
                     "sgt" if expr.callee.endswith("max") else "slt", l, r
                 )
             return self.builder.select(cmp, l, r, "mm")
-        if expr.callee in ("fmaf", "fma"):
-            single = expr.callee.endswith("f")
-            t = irt.f32 if single else irt.f64
-            converted = [
-                self._convert(a, e.type, CType("float" if single else "double"))
-                for a, e in zip(args, expr.args)
-            ]
-            mul = self.builder.fmul(converted[0], converted[1])
-            return self.builder.fadd(mul, converted[2], "fma")
         if expr.callee in ("fminf", "fmaxf"):
             cmp = self.builder.fcmp(
                 "olt" if "min" in expr.callee else "ogt", args[0], args[1]
             )
             return self.builder.select(cmp, args[0], args[1])
-        if expr.callee in _MATH_EXTERNALS:
+        if expr.callee in _MATH_EXTERNALS or expr.callee in _FMA:
             single = expr.callee.endswith("f")
             t = irt.f32 if single else irt.f64
             converted = [
                 self._convert(a, e.type, CType("float" if single else "double"))
                 for a, e in zip(args, expr.args)
             ]
-            return self.builder.intrinsic(expr.callee, t, converted, "mathcall")
+            name = _FMA.get(expr.callee, expr.callee)
+            return self.builder.intrinsic(name, t, converted, "mathcall")
         callee = self.module.get_function(expr.callee)
         if callee is None:
             raise SemaError(f"irgen: call to un-emitted function {expr.callee!r}")

@@ -17,6 +17,10 @@ on disk.
 Failures are structured: a pass that raises becomes a
 :class:`repro.diagnostics.PassExecutionError`, a post-pass verifier
 rejection becomes a :class:`repro.diagnostics.PassVerificationError`.
+
+The same loop runs the mini-MLIR lowering:
+:class:`repro.mlir.passes.MLIRPassManager` supplies only the structured
+MLIR verifier and turns the instruction-churn counters off.
 """
 
 from __future__ import annotations
@@ -85,6 +89,9 @@ class FunctionPass(ModulePass):
 
 
 class PassManager:
+    level = "IR"  # names the verifier in failure messages
+    count_churn = True  # record instruction churn (``instructions-*``)
+
     def __init__(self, guard: Optional[PassGuard] = None):
         self.passes: List[ModulePass] = []
         self.guard = guard
@@ -94,20 +101,24 @@ class PassManager:
         self.passes.append(pass_)
         return self
 
-    def run(self, module: Module) -> List[PassStatistics]:
+    def verify(self, module: Module) -> None:
         from ..verifier import verify_module
 
+        verify_module(module)
+
+    def run(self, module: Module) -> List[PassStatistics]:
         tracer = get_tracer()
         registry = get_statistics()
+        churn = registry.enabled and self.count_churn
         names = [p.name for p in self.passes]
         run_stats: List[PassStatistics] = []
-        if registry.enabled and self.passes:
+        if churn and self.passes:
             registry.bump("module", "instructions-before", count_instructions(module))
         for i, pass_ in enumerate(self.passes):
             tail = names[i:]
             snapshot = self.guard.snapshot(module) if self.guard is not None else None
             stats = PassStatistics(pass_.name)
-            before = count_instructions(module) if registry.enabled else 0
+            before = count_instructions(module) if churn else 0
             with tracer.span(pass_.name, category="pass") as span:
                 start = time.perf_counter()
                 try:
@@ -136,7 +147,7 @@ class PassManager:
                     continue
                 with tracer.span("verify", category="verify"):
                     try:
-                        verify_module(module)
+                        self.verify(module)
                     except Exception as exc:
                         raise_pass_failure(
                             PassVerificationError,
@@ -144,14 +155,13 @@ class PassManager:
                             module,
                             snapshot,
                             tail,
-                            f"IR verification failed after pass "
+                            f"{self.level} verification failed after pass "
                             f"{pass_.name!r}: {exc}",
                             exc,
                         )
         return run_stats
 
-    @staticmethod
-    def _record_counters(registry, name: str, stats: PassStatistics,
+    def _record_counters(self, registry, name: str, stats: PassStatistics,
                          before: int, module: Module) -> None:
         """Fold one pass's rewrite details into the ambient registry.
 
@@ -160,6 +170,8 @@ class PassManager:
         """
         registry.record_details(name, stats.details)
         registry.bump(name, "rewrites", stats.rewrites)
+        if not self.count_churn:
+            return
         after = count_instructions(module)
         if after < before:
             registry.bump(name, "instructions-deleted", before - after)

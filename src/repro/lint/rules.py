@@ -617,7 +617,7 @@ def _dataflow_unbanked_buffer(module: Module) -> Iterator[_Match]:
     # Lazy import: the memory model lives in repro.hls, which the lint
     # registry must not pull in at import time (rule registration happens
     # on ``import repro.lint`` from light-weight contexts).
-    from ..hls.memory import MemoryModel
+    from ..hls.memory import PORTS_PER_BANK, MemoryModel
 
     for fn in _defined(module):
         memory = MemoryModel(fn)
@@ -633,11 +633,11 @@ def _dataflow_unbanked_buffer(module: Module) -> Iterator[_Match]:
             names[key] = site.buffer.name
             banks[key] = site.buffer.banks
         for key, count in sorted(sites.items(), key=lambda kv: names[kv[0]]):
-            if count > 2 and banks[key] <= 1:
+            if count > PORTS_PER_BANK and banks[key] <= 1:
                 yield (
                     f"buffer %{names[key]} has {count} access sites but a "
-                    f"single bank (2 ports): token flow serialises on the "
-                    f"memory; consider array partitioning",
+                    f"single bank ({PORTS_PER_BANK} ports): token flow "
+                    f"serialises on the memory; consider array partitioning",
                     fn.name,
                     f"%{names[key]}",
                 )

@@ -1,7 +1,7 @@
 """MLIR-level passes: canonicalisation, HLS directive passes, unrolling,
 and the lowering chain (affine -> scf -> cf -> mini-LLVM IR)."""
 
-from .pass_manager import MLIRPass, MLIRPassManager, MLIRPassStatistics
+from .pass_manager import MLIRPass, MLIRPassManager
 from .canonicalize import Canonicalize
 from .affine_unroll import AffineUnroll
 from .loop_pipeline import LoopPipeline
@@ -13,7 +13,6 @@ from .convert_to_llvm import ConvertToLLVM, convert_to_llvm
 __all__ = [
     "MLIRPass",
     "MLIRPassManager",
-    "MLIRPassStatistics",
     "Canonicalize",
     "AffineUnroll",
     "LoopPipeline",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..affine_expr import (
     AffineBinary,
     AffineConstant,
@@ -25,7 +26,7 @@ from ..core import Block, Operation, Value, index
 from ..dialects import arith, memref as memref_dialect, scf
 from ..dialects.affine import ForOp
 from ..dialects.builtin import ModuleOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["AffineToSCF", "expand_affine_expr"]
 
@@ -92,7 +93,7 @@ def _combine(values: List[Value], kind: str, block: Block, before: Operation) ->
 class AffineToSCF(MLIRPass):
     name = "affine-to-scf"
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         # Innermost-first so bodies are already affine-free when moved.
         all_ops = list(module.walk())
         for op in reversed(all_ops):
@@ -109,7 +110,7 @@ class AffineToSCF(MLIRPass):
             elif op.name in ("affine.min", "affine.max"):
                 self._lower_minmax(op, stats)
 
-    def _lower_for(self, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_for(self, op: Operation, stats: PassStatistics) -> None:
         loop = ForOp(op)
         block = op.parent
         lower_values = _expand_map(loop.lower_map, list(loop.lower_operands), block, op)
@@ -143,7 +144,7 @@ class AffineToSCF(MLIRPass):
         op.erase()
         stats.bump("for-lowered")
 
-    def _lower_load(self, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_load(self, op: Operation, stats: PassStatistics) -> None:
         amap: AffineMap = op.get_attr("map").map  # type: ignore[union-attr]
         block = op.parent
         indices = _expand_map(amap, list(op.operands[1:]), block, op)
@@ -153,7 +154,7 @@ class AffineToSCF(MLIRPass):
         op.erase()
         stats.bump("load-lowered")
 
-    def _lower_store(self, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_store(self, op: Operation, stats: PassStatistics) -> None:
         amap: AffineMap = op.get_attr("map").map  # type: ignore[union-attr]
         block = op.parent
         indices = _expand_map(amap, list(op.operands[2:]), block, op)
@@ -162,7 +163,7 @@ class AffineToSCF(MLIRPass):
         op.erase()
         stats.bump("store-lowered")
 
-    def _lower_apply(self, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_apply(self, op: Operation, stats: PassStatistics) -> None:
         amap: AffineMap = op.get_attr("map").map  # type: ignore[union-attr]
         block = op.parent
         value = expand_affine_expr(
@@ -172,7 +173,7 @@ class AffineToSCF(MLIRPass):
         op.erase()
         stats.bump("apply-lowered")
 
-    def _lower_minmax(self, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_minmax(self, op: Operation, stats: PassStatistics) -> None:
         amap: AffineMap = op.get_attr("map").map  # type: ignore[union-attr]
         block = op.parent
         values = _expand_map(amap, list(op.operands), block, op)

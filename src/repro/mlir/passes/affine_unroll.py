@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..affine_expr import AffineDim
 from ..core import Block, Operation, Value, index
 from ..dialects import arith
 from ..dialects.affine import ForOp, for_
 from ..dialects.builtin import ModuleOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["AffineUnroll", "unroll_loop"]
 
@@ -45,7 +46,7 @@ def _clone_body_into(
     return yielded
 
 
-def unroll_loop(loop: ForOp, factor: Optional[int], stats: Optional[MLIRPassStatistics] = None) -> bool:
+def unroll_loop(loop: ForOp, factor: Optional[int], stats: Optional[PassStatistics] = None) -> bool:
     """Unroll ``loop`` by ``factor`` (None = full).  Returns True on change."""
     bounds = loop.constant_bounds()
     if bounds is None:
@@ -121,7 +122,7 @@ class AffineUnroll(MLIRPass):
 
     name = "affine-unroll"
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         changed = True
         while changed:
             changed = False

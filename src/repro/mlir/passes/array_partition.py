@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..core import DictAttr, IntegerAttr, MemRefType, StringAttr, index
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["ArrayPartition", "set_array_partition", "get_array_partition"]
 
@@ -67,7 +68,7 @@ class ArrayPartition(MLIRPass):
         self.factor = factor
         self.dim = dim
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         for op in module.functions():
             fn = FuncOp(op)
             for arg, name in zip(fn.arguments, fn.arg_names):

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..core import FloatAttr, IntegerAttr, Operation, Value
 from ..dialects import arith
 from ..dialects.builtin import ModuleOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["Canonicalize"]
 
@@ -44,7 +45,7 @@ _FLOAT_FOLDS = {
 class Canonicalize(MLIRPass):
     name = "canonicalize"
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         changed = True
         while changed:
             changed = False
@@ -57,7 +58,7 @@ class Canonicalize(MLIRPass):
                 if self._erase_if_dead(op, stats):
                     changed = True
 
-    def _fold(self, op: Operation, stats: MLIRPassStatistics) -> bool:
+    def _fold(self, op: Operation, stats: PassStatistics) -> bool:
         if op.name in _INT_FOLDS and len(op.results) == 1:
             l = _const_of(op.get_operand(0))
             r = _const_of(op.get_operand(1))
@@ -100,7 +101,7 @@ class Canonicalize(MLIRPass):
                 return True
         return False
 
-    def _erase_if_dead(self, op: Operation, stats: MLIRPassStatistics) -> bool:
+    def _erase_if_dead(self, op: Operation, stats: PassStatistics) -> bool:
         if op.is_used or not op.results:
             return False
         if op.regions or op.successors:

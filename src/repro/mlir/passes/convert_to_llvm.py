@@ -31,6 +31,7 @@ from ... import ir
 from ...ir import types as irt
 from ...ir.builder import IRBuilder
 from ...ir.metadata import LoopDirectives, encode_loop_directives
+from ...ir.transforms.pass_manager import PassStatistics
 from ...ir.values import ConstantFloat, ConstantInt, UndefValue
 from ..core import (
     Block,
@@ -46,7 +47,7 @@ from ..core import (
 )
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["ConvertToLLVM", "convert_to_llvm", "descriptor_type"]
 
@@ -74,7 +75,7 @@ def descriptor_type(mtype: MemRefType) -> irt.StructType:
 
 
 class _FuncLowering:
-    def __init__(self, module: ir.Module, fn: FuncOp, stats: MLIRPassStatistics):
+    def __init__(self, module: ir.Module, fn: FuncOp, stats: PassStatistics):
         self.module = module
         self.fn = fn
         self.stats = stats
@@ -559,9 +560,9 @@ class _FuncLowering:
         return attr.value if isinstance(attr, IntegerAttr) else None
 
 
-def convert_to_llvm(module: ModuleOp, stats: Optional[MLIRPassStatistics] = None) -> ir.Module:
+def convert_to_llvm(module: ModuleOp, stats: Optional[PassStatistics] = None) -> ir.Module:
     """Lower a cf-level mini-MLIR module to a modern mini-LLVM IR module."""
-    stats = stats or MLIRPassStatistics("convert-to-llvm")
+    stats = stats or PassStatistics("convert-to-llvm")
     out = ir.Module(module.name, opaque_pointers=True)
     out.source_flow = "mlir-lowering"
     for fn_op in module.functions():
@@ -595,5 +596,5 @@ class ConvertToLLVM(MLIRPass):
     def __init__(self):
         self.result: Optional[ir.Module] = None
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         self.result = convert_to_llvm(module, stats)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..core import BoolAttr, IntegerAttr, Operation, index
 from ..dialects.builtin import ModuleOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["LoopPipeline", "set_loop_directives", "loop_directive_attrs"]
 
@@ -71,7 +72,7 @@ class LoopPipeline(MLIRPass):
         self.ii = ii
         self.only_innermost = only_innermost
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         for op in module.walk():
             if op.name not in ("affine.for", "scf.for"):
                 continue

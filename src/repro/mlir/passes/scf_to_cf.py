@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ...ir.transforms.pass_manager import PassStatistics
 from ..core import Block, Operation, Region, Value, index
 from ..dialects import arith, cf
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..dialects.scf import ForOp, IfOp
-from .pass_manager import MLIRPass, MLIRPassStatistics
+from .pass_manager import MLIRPass
 
 __all__ = ["SCFToCF"]
 
@@ -55,7 +56,7 @@ def _inline_region_blocks(region: Region, target_region: Region, after_block: Bl
 class SCFToCF(MLIRPass):
     name = "scf-to-cf"
 
-    def run(self, module: ModuleOp, stats: MLIRPassStatistics) -> None:
+    def run_on_module(self, module: ModuleOp, stats: PassStatistics) -> None:
         for fn_op in module.functions():
             fn = FuncOp(fn_op)
             if fn.is_declaration:
@@ -80,7 +81,7 @@ class SCFToCF(MLIRPass):
                 return op
         return candidates[0] if candidates else None
 
-    def _lower_one(self, fn: FuncOp, stats: MLIRPassStatistics) -> bool:
+    def _lower_one(self, fn: FuncOp, stats: PassStatistics) -> bool:
         # Lower outermost-region-first is unnecessary; the splice logic
         # handles nested multi-block regions, so pick any scf op that has
         # structured (single-block) regions — i.e. lower innermost first.
@@ -93,7 +94,7 @@ class SCFToCF(MLIRPass):
             self._lower_if(fn, op, stats)
         return True
 
-    def _lower_for(self, fn: FuncOp, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_for(self, fn: FuncOp, op: Operation, stats: PassStatistics) -> None:
         loop = ForOp(op)
         region = op.parent.parent
         block = op.parent
@@ -139,7 +140,7 @@ class SCFToCF(MLIRPass):
         op.erase()
         stats.bump("for-lowered")
 
-    def _lower_if(self, fn: FuncOp, op: Operation, stats: MLIRPassStatistics) -> None:
+    def _lower_if(self, fn: FuncOp, op: Operation, stats: PassStatistics) -> None:
         if_op = IfOp(op)
         region = op.parent.parent
         block = op.parent

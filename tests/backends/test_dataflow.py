@@ -6,12 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.backends.dataflow import (
-    TokenSimResult,
-    _PortLedger,
-    simulate_tokens,
-)
-from repro.hls.memory import PORTS_PER_BANK
+from repro.backends.dataflow import TokenSimResult, simulate_tokens
+from repro.hls.memory import PORTS_PER_BANK, PortLedger
 
 
 @dataclass
@@ -90,14 +86,14 @@ class TestEmergentII:
 
 class TestPortArbitration:
     def test_ledger_serialises_past_the_port_bound(self):
-        ledger = _PortLedger()
+        ledger = PortLedger()
         site = FakeSite(FakeBuffer(banks=1), bank=0)
         grants = [ledger.acquire(site, 0) for _ in range(PORTS_PER_BANK + 1)]
         assert grants[:PORTS_PER_BANK] == [0] * PORTS_PER_BANK
         assert grants[PORTS_PER_BANK] == 1  # third access waits a cycle
 
     def test_wildcard_access_reserves_every_bank(self):
-        ledger = _PortLedger()
+        ledger = PortLedger()
         buffer = FakeBuffer(banks=2)
         wildcard = FakeSite(buffer, bank=None)
         # Fill bank 1 at cycle 0; the wildcard needs *all* banks free.

@@ -181,7 +181,7 @@ class TestMLIRGuard:
         class BoomPass:
             name = "canonicalize"  # must be a registered name for replay
 
-            def run(self, module):
+            def run_on_module(self, module, stats):
                 module.op.regions[0].blocks[0].operations.clear()
                 raise FaultInjected("mlir boom")
 

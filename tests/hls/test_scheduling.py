@@ -2,6 +2,8 @@
 memory model banking, and dependence analysis — incl. property-based checks
 of schedule legality."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from repro.ir.analysis import LoopInfo
 from repro.ir.metadata import InterfaceSpec
 from repro.ir.transforms import standard_cleanup_pipeline
 
-from ..conftest import lowered_gemm_ir
+from ..conftest import lowered_gemm_ir, mini_innermost_bodies, random_sites
 
 
 def adapted_gemm(n=4, pipeline=True):
@@ -36,6 +38,22 @@ def innermost_body(fn):
     return loop, body[0]
 
 
+def max_port_use(dfg, starts, ii=None) -> int:
+    """Most accesses one bank serves in one slot: a start cycle, or a
+    start cycle modulo ``ii``.  A bank-unknown access counts on every
+    bank of its buffer."""
+    usage = Counter()
+    for node in dfg.nodes:
+        site = node.site
+        if site is None:
+            continue
+        slot = starts[id(node)] % ii if ii else starts[id(node)]
+        banks = range(site.buffer.banks) if site.bank is None else [site.bank]
+        for bank in banks:
+            usage[id(site.buffer), bank, slot] += 1
+    return max(usage.values(), default=0)
+
+
 class TestListScheduling:
     def test_respects_data_dependences(self):
         fn = adapted_gemm()
@@ -50,18 +68,18 @@ class TestListScheduling:
                 ), f"{succ} starts before {node} finishes"
 
     def test_memory_port_limit_respected(self):
-        fn = adapted_gemm()
-        loop, body = innermost_body(fn)
-        memory = MemoryModel(fn)
-        dfg = build_block_dfg(body, DEFAULT_LIBRARY, memory)
-        schedule = list_schedule(dfg)
-        usage = {}
-        for node in dfg.nodes:
-            if node.site is None:
-                continue
-            key = (id(node.site.buffer), node.site.bank, schedule.start_of(node))
-            usage[key] = usage.get(key, 0) + 1
-        assert all(v <= PORTS_PER_BANK for v in usage.values())
+        """No bank serves more than its ports in one slot (a cycle, or a
+        cycle modulo II), in the list schedule and the modulo schedule of
+        every innermost MINI body, unbanked and cyclically partitioned,
+        and of 600 seeded sets of bank-known and bank-unknown accesses."""
+        mini = [(dfg, carried) for config in ("baseline", "optimized_part")
+                for _kernel, dfg, carried in mini_innermost_bodies(config)]
+        assert any(n.site is not None and n.site.bank is None
+                   for dfg, _carried in mini for n in dfg.nodes)
+        for dfg, carried in mini + [(random_sites(seed), []) for seed in range(600)]:
+            modulo = modulo_schedule(dfg, carried)
+            assert max_port_use(dfg, list_schedule(dfg).starts) <= PORTS_PER_BANK
+            assert max_port_use(dfg, modulo.starts, modulo.ii) <= PORTS_PER_BANK
 
     def test_length_covers_all_latencies(self):
         fn = adapted_gemm()

@@ -3,7 +3,8 @@
 Every case lowers a one-op elementwise kernel (``lowering_pipeline`` then
 ``convert_to_llvm``) and runs it in the IR interpreter, the one executor
 behind every equivalence verdict; its stored results must equal NumPy's.
-The float compares also go through HLS C++ codegen and the C frontend.
+Every case also goes through the HLS C++ flow: codegen, the C frontend,
+then the same interpreter.
 The lanes mix signs and carry zeros, infinities and NaN where the op is
 defined on them, so rounding direction, unsigned order and IEEE special
 values are all pinned.
@@ -58,6 +59,12 @@ def run_op(build, result_dtype, *operands):
     """:func:`op_kernel` lowered and run."""
     mod, arrays = op_kernel(build, result_dtype, *operands)
     return run_lowered(mod, "f", arrays)["out"]
+
+
+def run_cpp(build, result_dtype, *operands):
+    """:func:`op_kernel` through HLS C++ codegen and the C frontend, and run."""
+    mod, arrays = op_kernel(build, result_dtype, *operands)
+    return run_kernel(compile_hls_cpp(generate_hls_cpp(mod)), "f", arrays)["out"]
 
 
 # -- lanes: fixed edge values, then seeded random ones -------------------------
@@ -189,22 +196,43 @@ with np.errstate(all="ignore"):
              for name, build, operands, want, ulps in _cases()]
 
 
-@pytest.mark.parametrize("build,operands,want,ulps", CASES)
-def test_op_matches_numpy(build, operands, want, ulps):
-    got = run_op(build, want.dtype, *operands)
+def assert_matches(got, want, ulps):
     if ulps:
         np.testing.assert_array_max_ulp(got, want, maxulp=ulps)
     else:
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("build,operands,want,ulps", CASES)
+def test_op_matches_numpy(build, operands, want, ulps):
+    assert_matches(run_op(build, want.dtype, *operands), want, ulps)
+
+
+@pytest.mark.parametrize(
+    "build,operands,want,ulps", [c for c in CASES if not c.id.startswith("cmpf-")]
+)
+def test_op_through_hls_cpp(build, operands, want, ulps):
+    """Every case but the float compares (the next test) through the C++
+    flow: C's truncating ``/``, 32-bit ``int`` and twice-rounded ``a * b + c``
+    must not leak into floordivsi/ceildivsi, ``index`` memrefs or fma."""
+    assert_matches(run_cpp(build, want.dtype, *operands), want, ulps)
+
+
 @pytest.mark.parametrize("pred", CMPF_PREDICATES)
 def test_cmpf_through_hls_cpp(pred):
     """The same compares through HLS C++ codegen and the C frontend: C's
     ordered operators must not leak into the unordered predicates."""
-    mod, arrays = op_kernel(lambda a, b: arith.cmpf(pred, a, b), np.bool_, F, G)
-    got = run_kernel(compile_hls_cpp(generate_hls_cpp(mod)), "f", arrays)["out"]
+    got = run_cpp(lambda a, b: arith.cmpf(pred, a, b), np.bool_, F, G)
     np.testing.assert_array_equal(got, _cmpf(pred, F, G))
+
+
+def test_f64_fma_flows_agree():
+    """A double fma computes the same through the C++ flow as lowered:
+    codegen prints ``fma``, not the float ``fmaf``."""
+    rng = np.random.default_rng(5)
+    a, b, c = (rng.normal(0, 1, 64) * 10.0 ** rng.integers(-30, 30, 64) for _ in range(3))
+    want = run_op(math.fma, np.float64, a, b, c)
+    np.testing.assert_array_equal(run_cpp(math.fma, np.float64, a, b, c), want)
 
 
 def test_periodic_read_wraps_with_affine_mod():
