@@ -11,32 +11,41 @@ precompiled ``struct.Struct`` for the IR type's layout on the buffer's
 ``bytearray``; float ops round to the IR precision, with IEEE results
 (±inf, NaN) on overflow and on libm domain and pole errors.
 
-Execution is decode-once.  The first call of a function on an
-:class:`Interpreter` turns it into per-block tuples of opcode-specialised
-closures over a flat frame list: every argument, instruction result,
-constant and global has a slot, and constants and globals are pre-filled in
-a template each call copies.  Type facts (integer masks, load/store
-layouts, GEP strides and constant offsets, the float rounder) are fixed at
-decode time; phis become one parallel copy per incoming edge, and each
-terminator picks the next decoded block.  Reads that dominance cannot
-prove defined keep a runtime ``use of undefined value`` check, so verified
-IR pays nothing for it.  ``steps`` counts executed instructions exactly as
-a one-at-a-time loop does: a block's steps are added at once unless the
-budget would run out inside it or it calls a defined function.
+Execution is compile-once.  The first call of a function on an
+:class:`Interpreter` writes the function as the source of one Python
+function (:class:`_Emitter`), ``compile``s it and keeps it for that
+interpreter.  SSA values become locals and integer constants literals.  A
+pointer that is only dereferenced stays split: its root (an argument,
+global, ``alloca``, call result or other non-GEP value) caches its buffer,
+data and length once, and a GEP result is a plain integer offset, so address
+arithmetic allocates nothing; a ``Pointer`` is built only where one escapes.
+Blocks run from one ``while True`` dispatch on a block index, blocks of
+deeper loops tested first, and a block with one incoming edge runs inline at
+that edge.  Phis are one tuple assignment per edge.  Reads that dominance
+cannot prove defined keep a runtime ``use of undefined value`` check, so
+verified IR pays nothing for it.
+
+``steps`` counts executed instructions exactly as a one-at-a-time loop does.
+Each straight-line run of a block (split after every call to a defined
+function, so a callee's steps land between its caller's) adds its count at
+once; a fault rewinds it to the faulting instruction through the line table
+the emitter records; and a run the budget cannot fit executes the
+instructions that fit, from source emitted on demand, before the budget
+error.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import struct as _struct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .analysis.cfg import reachable_blocks
 from .analysis.dominators import dominator_tree
+from .analysis.loops import LoopInfo
 from .instructions import (
     Alloca,
     BinaryOperator,
@@ -51,6 +60,7 @@ from .instructions import (
     ICmp,
     InsertValue,
     Load,
+    Phi,
     Return,
     Select,
     Store,
@@ -192,36 +202,9 @@ def _frem(l: float, r: float) -> float:
     return math.fmod(l, r) if r != 0 and not math.isinf(l) else math.nan
 
 
-_FLOAT_BINOPS = {
-    "fadd": operator.add,
-    "fsub": operator.sub,
-    "fmul": operator.mul,
-    "fdiv": _fdiv,
-    "frem": _frem,
-}
-# Integer ops whose Python result only needs wrapping to the IR width.
-_PLAIN_INT_BINOPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "and": operator.and_,
-    "or": operator.or_,
-    "xor": operator.xor,
-}
-_COMPARISONS = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "lt": operator.lt,
-    "le": operator.le,
-}
-
-
 def _integer_binop(op: str, ty: IntegerType) -> Callable[[int, int], int]:
-    """``(l, r) -> result`` of ``op`` before wrapping to ``ty``."""
-    if op in _PLAIN_INT_BINOPS:
-        return _PLAIN_INT_BINOPS[op]
+    """``(l, r) -> result`` of a division or shift ``op`` before wrapping to
+    ``ty`` (the other integer ops are Python operators)."""
     mask, width = ty.max_unsigned, ty.width
 
     def sdiv(l, r):
@@ -303,6 +286,9 @@ def _extern(name: str, args: List, type: Type) -> object:
             return _round_float(math.copysign(args[0], args[1]), type)  # type: ignore
         if kind in ("smax", "smin", "umax", "umin"):
             op = max if kind.endswith("max") else min
+            if kind[0] == "u":  # compare the unsigned readings of the operands
+                mask = type.max_unsigned  # type: ignore
+                return type.wrap(op(args[0] & mask, args[1] & mask))  # type: ignore
             return type.wrap(op(args[0], args[1]))  # type: ignore
         if kind == "abs":
             return type.wrap(abs(args[0]))  # type: ignore
@@ -358,12 +344,6 @@ def _coerce(value, type: Type):
     return value
 
 
-def _int_bounds(ty: IntegerType) -> Tuple[int, int, int]:
-    """``(mask, max_signed, modulus)``: ``v & mask``, less ``modulus`` when
-    above ``max_signed``, wraps ``v`` to ``ty`` (``IntegerType.wrap``)."""
-    return ty.max_unsigned, ty.max_signed, 1 << ty.width
-
-
 def _pointer_identity(value) -> Optional[Tuple[int, int]]:
     return (id(value.buffer), value.offset) if isinstance(value, Pointer) else None
 
@@ -378,95 +358,192 @@ def numpy_from_buffer(buf: MemoryBuffer, dtype, shape) -> np.ndarray:
     return np.frombuffer(buf.data, dtype=dtype).reshape(shape).copy()
 
 
-# -- decoded code -----------------------------------------------------------------
+# -- generated code -----------------------------------------------------------------
 
-#: Slot content before its definition runs.  Never a value.
+#: What a local holds before its definition runs.  Never a value.
 _UNSET = object()
 
-#: Frame slot 0 receives the return value and slot 1 holds the running
-#: Interpreter; arguments follow from slot 2.  Keeping the interpreter in
-#: the frame, and naming blocks by index, leaves decoded code free of
-#: reference cycles, so it dies with its Interpreter by reference counting.
-_RESULT, _INTERP = 0, 1
+#: ``co_filename`` of generated code: how a fault finds its frame.
+_SOURCE = "<ir>"
 
-_Op = Callable[[list], object]
+#: Most arms one ``if``/``elif`` chain gets.  CPython's compiler recurses
+#: once per ``elif`` and fails near 3,000 of them, so longer dispatches nest.
+_CHAIN = 64
+
+#: Most blocks inlined one inside the next before the next gets a dispatch
+#: arm of its own.  Bounds the source's nesting (CPython stops near 100
+#: indentation levels) and the emitter's recursion.
+_MAX_INLINE = 32
+
+# Python spelling of the integer and float comparisons.
+_RELATIONS = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+_FCMP = {
+    "false": "False",
+    "true": "True",
+    "oeq": "{a} == {b}",
+    "ogt": "{a} > {b}",
+    "oge": "{a} >= {b}",
+    "olt": "{a} < {b}",
+    "ole": "{a} <= {b}",
+    "one": "({a} < {b} or {a} > {b})",
+    "ord": "({a} == {a} and {b} == {b})",
+    "ueq": "not ({a} < {b} or {a} > {b})",
+    "ugt": "not {a} <= {b}",
+    "uge": "not {a} < {b}",
+    "ult": "not {a} >= {b}",
+    "ule": "not {a} > {b}",
+    "une": "{a} != {b}",
+    "uno": "({a} != {a} or {b} != {b})",
+}
+_FLOAT_BINOPS = {
+    "fadd": "{} + {}",
+    "fsub": "{} - {}",
+    "fmul": "{} * {}",
+    "fdiv": "_fdiv({}, {})",
+    "frem": "_frem({}, {})",
+}
+_INT_OPERATORS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 
 
-class _Block:
-    """A decoded basic block: non-phi body closures, then the terminator,
-    which returns the next block's index (``None`` on return)."""
+def _raise(message: str):
+    raise InterpreterError(message)
 
-    __slots__ = ("ops", "term", "steps", "counted")
 
-    def __init__(self) -> None:
-        # All four are filled in by _Decoder._fill.
-        self.ops: Tuple[_Op, ...] = ()
-        self.term: Optional[_Op] = None
-        # Instructions a full pass executes (the body plus the terminator).
-        self.steps = 0
-        # Calls a defined function, so steps must be counted one at a time
-        # (the callee's steps land between the caller's).
-        self.counted = False
+def _checked(value, message: str):
+    """``value``, unless it is still unset (a select arm)."""
+    if value is _UNSET:
+        raise InterpreterError(message)
+    return value
+
+
+def _not_pointer(op: str, value):
+    raise InterpreterError(f"{op} through non-pointer {value!r}")
+
+
+def _bad_access(op: str, value, size: int):
+    """The fault of a load or store straight through ``value``: it is not a
+    pointer, or the access is out of bounds."""
+    if not isinstance(value, Pointer):
+        _not_pointer(op, value)
+    value.buffer.check(value.offset, size)
+
+
+def _fp_to_int(x, op: str) -> int:
+    if not math.isfinite(x):
+        # LLVM makes the result poison; fault instead of inventing one.
+        raise InterpreterError(f"{op} of non-finite value {x!r}")
+    return max(0, int(x)) if op == "fptoui" else int(x)
+
+
+def _ptr_to_int(x) -> int:
+    return id(x.buffer) + x.offset if isinstance(x, Pointer) else 0
+
+
+def _f32_cell():
+    """A one-float cell: storing a double rounds it to float as the C cast
+    does (±inf past the largest float), reading it back gives the double."""
+    return memoryview(bytearray(4)).cast("f")
+
+
+#: What every generated function's namespace starts with.
+_RUNTIME = {
+    "_UNSET": _UNSET,
+    "_P": Pointer,
+    "_MB": MemoryBuffer,
+    "_raise": _raise,
+    "_checked": _checked,
+    "_not_pointer": _not_pointer,
+    "_bad_access": _bad_access,
+    "_fp_to_int": _fp_to_int,
+    "_ptr_to_int": _ptr_to_int,
+    "_pid": _pointer_identity,
+    "_extern": _extern,
+    "_fdiv": _fdiv,
+    "_frem": _frem,
+    "_deep_copy": _deep_copy,
+    "_f32_cell": _f32_cell,
+    "_copysign": math.copysign,
+    "_inf": math.inf,
+    "_pack_e": _FLOAT_LAYOUTS["half"].pack,
+    "_unpack_e": _FLOAT_LAYOUTS["half"].unpack,
+}
+for _layout in (*_INT_LAYOUTS.values(), *_FLOAT_LAYOUTS.values()):
+    _RUNTIME["_ld_" + _layout.format[1]] = _layout.unpack_from
+    _RUNTIME["_st_" + _layout.format[1]] = _layout.pack_into
+
+#: One emitted line: indentation level, text, and how many of its run's
+#: counted steps come after its instruction (what a fault there rewinds).
+_Line = Tuple[int, str, int]
+
+
+def _calls_defined(inst) -> bool:
+    callee = inst.callee if isinstance(inst, Call) else None
+    return isinstance(callee, Function) and not callee.is_declaration
+
+
+def _dispatch(selector: str, arms: List[List[_Line]], depth: int, base: int = 0) -> List[_Line]:
+    """``if selector == base: arms[0] elif ...`` at ``depth``, arm bodies
+    indented relative to it.  Past :data:`_CHAIN` arms the first chunk stays
+    one flat chain (the hottest arms) and the rest is bisected."""
+    lines: List[_Line] = []
+    if len(arms) <= _CHAIN:
+        for k, body in enumerate(arms):
+            lines.append((depth, f"{'elif' if k else 'if'} {selector} == {base + k}:", 0))
+            lines.extend((depth + 1 + d, text, rewind) for d, text, rewind in body)
+        return lines
+    mid = _CHAIN if base == 0 else len(arms) // 2
+    lines.append((depth, f"if {selector} < {base + mid}:", 0))
+    lines += _dispatch(selector, arms[:mid], depth + 1, base)
+    lines.append((depth, "else:", 0))
+    lines += _dispatch(selector, arms[mid:], depth + 1, base + mid)
+    return lines
 
 
 class _Code:
-    """One decoded function."""
+    """One compiled function."""
 
-    __slots__ = ("function", "template", "params", "blocks", "entry_phis")
+    __slots__ = ("run", "params", "entry_phis", "emitter", "rewinds")
 
-    def __init__(self, function: Function, template: list, blocks: List[_Block]) -> None:
-        self.function = function
-        self.template = template
-        self.params = [a.type for a in function.arguments]
-        self.blocks = blocks  # the entry block first
-        self.entry_phis = bool(function.entry.phis())
-
-
-def _return(frame: list) -> None:
-    return None
+    def __init__(self, run, emitter: "_Emitter", rewinds: Dict[int, int]) -> None:
+        self.run = run
+        self.params = [a.type for a in emitter.fn.arguments]
+        self.entry_phis = bool(emitter.fn.entry.phis())
+        # Kept for the budget path, which emits a run's prefix on demand.
+        self.emitter = emitter
+        self.rewinds = rewinds  # line -> counted steps after its instruction
 
 
-def _raiser(message: str) -> _Op:
-    def fault(frame: list):
-        raise InterpreterError(message)
+class _Emitter:
+    """Writes one function as Python source for one :class:`Interpreter`
+    (module docstring).
 
-    return fault
-
-
-def _guarded(op: _Op, checks: List[Tuple[int, Value]]) -> _Op:
-    """``op``, after checking the reads dominance could not prove defined."""
-
-    def guarded(frame: list):
-        for slot, value in checks:
-            if frame[slot] is _UNSET:
-                raise InterpreterError(f"use of undefined value {value!r}")
-        return op(frame)
-
-    return guarded
-
-
-class _Decoder:
-    """Decodes one function for one :class:`Interpreter` (module docstring).
-
-    Each ``_<opcode>`` method reads its operands through :meth:`use` in the
-    order the instruction evaluates them, so the undefined-value checks it
-    collects fire in that order, and returns the instruction's closure.
+    Each ``_<opcode>`` method reads its operands through :meth:`use` and
+    :meth:`address` in the order the instruction evaluates them, so the
+    undefined-value checks they collect fire in that order, and returns the
+    instruction's lines.  A method that raises :class:`InterpreterError`
+    leaves a line raising it, which fails when, and only when, the
+    instruction runs.
     """
 
     def __init__(self, fn: Function, globals: Dict[str, Pointer]) -> None:
         self.fn = fn
         self.globals = globals
-        self.template: list = [None, None]  # _RESULT, _INTERP
-        self.slots: Dict[int, int] = {}
-        for arg in fn.arguments:
-            self.slot(arg)
-        self.blocks: List[_Block] = []
-        self.index: Dict[int, int] = {}  # id(BasicBlock) -> position in blocks
-        self.pending: List[Tuple[BasicBlock, _Block]] = []
+        self.namespace = dict(_RUNTIME, _fn=fn)
+        self.names: Dict[int, str] = {}  # id(value) -> local, literal or namespace name
+        self.constants: Set[int] = set()  # ids of values with a fixed value
+        self.splits: Dict[int, str] = {}  # id(constant root) -> namespace prefix
+        self.unset: Set[str] = set()  # locals read where they may be unset
+        self.rounds32 = False
         self.site: Tuple[BasicBlock, int] = (fn.entry, 0)
-        self.checks: List[Tuple[int, Value]] = []
+        self.checks: List[str] = []
+        self.out: List[_Line] = []
+        # (block, instruction indices) of each counted straight-line run.
+        self.segments: List[Tuple[BasicBlock, List[int]]] = []
         self._analyse()
+        self._layout()
+        self._classify()
 
+    # -- analysis -------------------------------------------------------------------
     def _analyse(self) -> None:
         """Dominance facts for :meth:`defined`.  They describe the blocks
         the interpreter runs only when every terminator ends its block and
@@ -494,12 +571,12 @@ class _Decoder:
     def defined(self, value: Value, block: BasicBlock, index: int) -> bool:
         """Whether every read of ``value`` by instruction ``index`` of
         ``block`` (``len(block.instructions)`` for a phi reading it on an
-        edge out of ``block``) finds its slot set — the verifier's SSA
+        edge out of ``block``) finds its local set — the verifier's SSA
         dominance rule, with definitions in unreachable blocks never set."""
-        if self.template[self.slots[id(value)]] is not _UNSET:
-            return True  # a constant, global or function
+        if id(value) in self.constants:
+            return True
         if value.type.is_void:
-            return False  # a store or terminator: never sets a slot
+            return False  # a store or terminator: never sets a local
         if isinstance(value, Argument):
             # A vararg callee may be passed fewer arguments than it names.
             return value.parent is self.fn and not self.fn.function_type.vararg
@@ -512,17 +589,133 @@ class _Decoder:
             return def_index < index
         return self.dominators.dominates(def_block, block)
 
-    def slot(self, value: Value) -> int:
-        slot = self.slots.get(id(value))
-        if slot is None:
+    @staticmethod
+    def shape(bb: BasicBlock) -> Tuple[int, int, Optional[object]]:
+        """``(first, end, terminator)``: the block runs instructions
+        ``first`` (after its phis) up to ``end``, then its first terminator
+        (None if it has none, and then ``end`` is past the last one)."""
+        instructions = bb.instructions
+        first = len(bb.phis())
+        for index in range(first, len(instructions)):
+            if instructions[index].is_terminator:
+                return first, index, instructions[index]
+        return first, len(instructions), None
+
+    def _layout(self) -> None:
+        """The blocks the entry reaches, and the dispatch arms among them:
+        every block but the entry with other than one incoming edge, ordered
+        by loop depth (deepest first), and the entry if anything branches
+        back to it."""
+        entry = self.fn.entry
+        order: List[BasicBlock] = []
+        incoming: Dict[int, int] = {}
+        seen = {id(entry)}
+        stack = [entry]
+        while stack:
+            bb = stack.pop()
+            order.append(bb)
+            term = self.shape(bb)[2]
+            for target in term.successors if term is not None else ():
+                if isinstance(target, BasicBlock):
+                    incoming[id(target)] = incoming.get(id(target), 0) + 1
+                    if id(target) not in seen:
+                        seen.add(id(target))
+                        stack.append(target)
+        self.order = order
+        depth: Dict[int, int] = {}
+        if self.dominators is not None:
+            loops = LoopInfo(self.fn, self.dominators)
+            for bb in order:
+                loop = loops.loop_for(bb)
+                depth[id(bb)] = loop.depth if loop is not None else 0
+        arms = [
+            bb for bb in order
+            if incoming.get(id(bb), 0) != 1 and not (bb is entry and id(bb) not in incoming)
+        ]
+        arms.sort(key=lambda bb: -depth.get(id(bb), 0))
+        self.arms = arms
+        self.arm = {id(bb): k for k, bb in enumerate(arms)}
+
+    def _classify(self) -> None:
+        """Which address values stay split.  A GEP result is *derived* (an
+        integer offset into its root's buffer) when dominance proves every
+        read of it defined and its own read of its base.  Every other value
+        used as an address is a *root*: an object whose buffer, data and
+        limits (length less each access size) are cached where it is
+        defined.  ``roots`` maps each root to the access sizes through it."""
+        self.derived: Dict[int, Value] = {}
+        self.roots: Dict[int, Set[int]] = {}
+        # Reverse postorder visits a definition before the uses it dominates.
+        blocks = self.dominators.rpo if self.dominators is not None else self.order
+        for bb in blocks:
+            first, end, _ = self.shape(bb)
+            for index in range(first, end):
+                inst = bb.instructions[index]
+                if isinstance(inst, GetElementPtr):
+                    base = inst.pointer
+                    root = self.derived.get(id(base), base)
+                    self.roots.setdefault(id(root), set())
+                    if self.dominators is not None and self._reads_defined(inst, base, bb, index):
+                        self.derived[id(inst)] = root
+                elif isinstance(inst, (Load, Store)):
+                    try:
+                        ty = inst.type if isinstance(inst, Load) else inst.value.type
+                        size = _scalar_layout(ty).size
+                    except InterpreterError:
+                        continue
+                    root = self.derived.get(id(inst.pointer), inst.pointer)
+                    self.roots.setdefault(id(root), set()).add(size)
+
+    def _reads_defined(self, gep: GetElementPtr, base: Value, bb: BasicBlock, index: int) -> bool:
+        try:
+            self.name(base)
+        except InterpreterError:
+            return False
+        if not self.defined(base, bb, index):
+            return False
+        for use in gep.uses:
+            user = use.user
+            block = getattr(user, "parent", None)
+            if not isinstance(block, BasicBlock) or id(block) not in self.reachable:
+                continue  # never runs here
+            if isinstance(user, Phi):
+                if use.index % 2:
+                    return False
+                pred = user.operands[use.index + 1]
+                if not isinstance(pred, BasicBlock) or id(pred) not in self.reachable:
+                    continue
+                if not self.defined(gep, pred, len(pred.instructions)):
+                    return False
+            elif id(user) not in self.position or not self.defined(gep, *self.position[id(user)]):
+                return False
+        return True
+
+    # -- values ---------------------------------------------------------------------
+    def name(self, value: Value) -> str:
+        """The Python expression of ``value``'s local, literal or constant."""
+        name = self.names.get(id(value))
+        if name is None:
             initial = self._initial(value)
-            slot = self.slots[id(value)] = len(self.template)
-            self.template.append(initial)
-        return slot
+            if initial is _UNSET:
+                name = f"v{len(self.names)}"
+            else:
+                self.constants.add(id(value))
+                if type(initial) is int:
+                    name = repr(initial) if initial >= 0 else f"({initial})"
+                else:
+                    name = self.constant(initial)
+            self.names[id(value)] = name
+        return name
+
+    def constant(self, obj: object) -> str:
+        """A new namespace name holding ``obj``."""
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
 
     def _initial(self, value: Value) -> object:
-        """Template content: the value of a constant, global or function;
-        ``_UNSET`` for what a call defines."""
+        """The value of a constant, global or function; ``_UNSET`` for what
+        an instruction or argument defines."""
         if isinstance(value, (ConstantInt, ConstantFloat)):
             return value.value
         if isinstance(value, ConstantPointerNull):
@@ -537,257 +730,189 @@ class _Decoder:
             return value
         return _UNSET
 
-    def use(self, value: Value) -> int:
-        """Slot of an operand the current instruction reads."""
-        slot = self.slot(value)
+    def check(self, name: str, value: Value) -> str:
+        """``name``, after a check that it is set joins the current checks."""
+        self.unset.add(name)
+        self.checks.append(
+            f"if {name} is _UNSET: _raise({f'use of undefined value {value!r}'!r})"
+        )
+        return name
+
+    def use(self, value: Value) -> str:
+        """An operand the current instruction reads, as an object: a derived
+        pointer is materialised as a :class:`Pointer`."""
+        name = self.name(value)
+        root = self.derived.get(id(value))
+        if root is not None:
+            return f"_P({self.split(root)}_b, {name})"
         if not self.defined(value, *self.site):
-            self.checks.append((slot, value))
-        return slot
+            self.check(name, value)
+        return name
 
-    # -- blocks -------------------------------------------------------------------
-    def decode(self) -> _Code:
-        # Phis of one block take consecutive slots: one slice copy per edge.
-        for block in self.fn.blocks:
-            for phi in block.phis():
-                self.slot(phi)
-        self.block(self.fn.entry)
-        while self.pending:
-            self._fill(*self.pending.pop())
-        return _Code(self.fn, self.template, self.blocks)
+    def address(self, value: Value) -> Tuple[str, str, bool]:
+        """``(root, offset, derived)`` of a pointer operand: ``root`` names
+        the split (``<root>_b``, ``_d``, ``_l<size>``, and ``<root>`` the
+        object), ``offset`` the offset expression.  A derived offset needs
+        no non-pointer check: its GEP made it."""
+        root = self.derived.get(id(value))
+        if root is not None:
+            return self.split(root), self.name(value), True
+        self.use(value)
+        split = self.split(value)
+        return split, f"{split}_o", False
 
-    def block(self, bb: BasicBlock) -> int:
-        """Index of ``bb``'s decoded block, queued for decoding if new."""
-        index = self.index.get(id(bb))
-        if index is None:
-            index = self.index[id(bb)] = len(self.blocks)
-            self.blocks.append(_Block())
-            self.pending.append((bb, self.blocks[index]))
-        return index
+    def split(self, root: Value) -> str:
+        """The prefix of root ``root``'s split; a constant root's lives in
+        the namespace."""
+        if id(root) not in self.constants:
+            return self.name(root)
+        prefix = self.splits.get(id(root))
+        if prefix is None:
+            prefix = self.splits[id(root)] = f"c{len(self.splits)}"
+            obj = self.namespace[prefix] = self._initial(root)
+            if isinstance(obj, Pointer):
+                data = obj.buffer.data
+                self.namespace.update(
+                    {prefix + "_b": obj.buffer, prefix + "_o": obj.offset, prefix + "_d": data}
+                )
+                for size in self.roots.get(id(root), ()):
+                    self.namespace[f"{prefix}_l{size}"] = len(data) - size
+            else:
+                self.namespace[prefix + "_d"] = None
+        return prefix
 
-    def _fill(self, bb: BasicBlock, block: _Block) -> None:
-        instructions = bb.instructions
-        first = len(bb.phis())
-        ops = []
-        block.term = _raiser(f"block %{bb.name} fell through")
-        for index in range(first, len(instructions)):
-            inst = instructions[index]
-            self.site = (bb, index)
-            block.steps += 1
-            if inst.is_terminator:
-                block.term = self._decode(inst)
-                break
-            ops.append(self._decode(inst))
-            callee = inst.callee if isinstance(inst, Call) else None
-            if isinstance(callee, Function) and not callee.is_declaration:
-                block.counted = True
-        block.ops = tuple(ops)
+    def split_lines(self, value: Value) -> List[str]:
+        """Caches root ``value``'s buffer, offset, data and limits, or marks
+        it as no pointer (``_d`` None)."""
+        sizes = self.roots.get(id(value))
+        if sizes is None or id(value) in self.constants:
+            return []
+        n = self.name(value)
+        limits = "".join(f"; {n}_l{s} = len({n}_d) - {s}" for s in sorted(sizes))
+        return [
+            f"if isinstance({n}, _P): {n}_b = {n}.buffer; {n}_o = {n}.offset; "
+            f"{n}_d = {n}_b.data{limits}",
+            f"else: {n}_d = None",
+        ]
 
-    def _decode(self, inst) -> _Op:
+    def wrapped(self, expr: str, ty: IntegerType) -> str:
+        """``expr`` wrapped to ``ty`` (``IntegerType.wrap``); the common
+        in-range case costs two comparisons."""
+        half, mask = ty.max_signed + 1, ty.max_unsigned
+        return (
+            f"_t if {-half} <= (_t := {expr}) <= {half - 1} "
+            f"else ((_t + {half}) & {mask}) - {half}"
+        )
+
+    def rounded(self, d: str, expr: str, kind: str) -> List[str]:
+        """``d = expr`` rounded to the float ``kind``."""
+        if kind == "double":
+            return [f"{d} = {expr}"]
+        if kind == "float":
+            self.rounds32 = True
+            return [f"_r32[0] = {expr}; {d} = _r32[0]"]
+        return [
+            f"try: {d} = _unpack_e(_pack_e({expr}))[0]",
+            f"except OverflowError: {d} = _copysign(_inf, {expr})",
+        ]
+
+    # -- instructions ---------------------------------------------------------------
+    def emit(self, inst, block: BasicBlock, index: int) -> List[str]:
+        """The lines of non-terminator ``inst``, its checks first."""
+        self.site = (block, index)
         self.checks = []
-        method = _DECODERS.get(type(inst))
+        method = _EMITTERS.get(type(inst))
         try:
             if method is None:
                 raise InterpreterError(f"no semantics for {inst!r}")
-            op = method(self, inst)
+            lines = method(self, inst) + self.split_lines(inst)
         except InterpreterError as exc:
-            op = _raiser(str(exc))
-        return _guarded(op, self.checks) if self.checks else op
+            lines = [f"_raise({str(exc)!r})"]
+        return self.checks + lines
 
-    def edge(self, target) -> Tuple[Optional[int], Optional[_Op]]:
-        """``(block index, moves)`` for the branch from the current block to
-        ``target``: ``moves`` copies the incoming values into ``target``'s
-        phis, all read before any is written, or is None without phis."""
-        pred = self.site[0]
-        if not isinstance(target, BasicBlock):
-            return None, _raiser(f"branch to non-block {target!r}")
-        phis = target.phis()
-        block = self.block(target)
-        if not phis:
-            return block, None
-        end = len(pred.instructions)
-        dsts, srcs, checks = [], [], []
-        missing = None
-        try:
-            for phi in phis:
-                incoming = phi.incoming_value_for(pred)
-                if incoming is None:
-                    missing = f"phi {phi.ref()} missing incoming for %{pred.name}"
-                    break
-                srcs.append(self.slot(incoming))
-                dsts.append(self.slot(phi))
-                checks.append(None if self.defined(incoming, pred, end) else incoming)
-        except InterpreterError as exc:
-            return block, _raiser(str(exc))
-        if (
-            missing is None
-            and all(c is None for c in checks)
-            and dsts == list(range(dsts[0], dsts[0] + len(dsts)))
-        ):
-            return block, _parallel_copy(dsts, srcs)
-
-        def moves(frame: list) -> None:
-            values = []
-            for src, value in zip(srcs, checks):
-                if value is not None and frame[src] is _UNSET:
-                    raise InterpreterError(f"use of undefined value {value!r}")
-                values.append(frame[src])
-            if missing is not None:
-                raise InterpreterError(missing)
-            for dst, v in zip(dsts, values):
-                frame[dst] = v
-
-        return block, moves
-
-    # -- instructions ---------------------------------------------------------------
-    def _binop(self, inst: BinaryOperator) -> _Op:
-        a, b, d = self.use(inst.lhs), self.use(inst.rhs), self.slot(inst)
-        if inst.opcode in _FLOAT_BINOPS:
-            fn, kind = _FLOAT_BINOPS[inst.opcode], inst.type.kind
-            if kind == "double":
-
-                def double_binop(f):
-                    f[d] = float(fn(f[a], f[b]))
-
-                return double_binop
-            # The hottest float ops: _narrow_rounder, inlined.
-            pack, unpack = _FLOAT_LAYOUTS[kind].pack, _FLOAT_LAYOUTS[kind].unpack
-
-            def narrow_binop(f):
-                v = fn(f[a], f[b])
-                try:
-                    f[d] = unpack(pack(v))[0]
-                except OverflowError:
-                    f[d] = math.copysign(math.inf, v)
-
-            return narrow_binop
+    def _binop(self, inst: BinaryOperator) -> List[str]:
+        a, b, d = self.use(inst.lhs), self.use(inst.rhs), self.name(inst)
+        op = inst.opcode
+        if op in _FLOAT_BINOPS:
+            return self.rounded(d, _FLOAT_BINOPS[op].format(a, b), inst.type.kind)
         ty: IntegerType = inst.type  # type: ignore[assignment]
-        fn = _integer_binop(inst.opcode, ty)
-        mask, smax, modulus = _int_bounds(ty)
+        if op in _INT_OPERATORS:
+            expr = f"{a} {_INT_OPERATORS[op]} {b}"
+        else:
+            expr = f"{self.constant(_integer_binop(op, ty))}({a}, {b})"
+        return [f"{d} = {self.wrapped(expr, ty)}"]
 
-        def integer_binop(f):
-            v = fn(f[a], f[b]) & mask
-            f[d] = v - modulus if v > smax else v
-
-        return integer_binop
-
-    def _icmp(self, inst: ICmp) -> _Op:
-        a, b, d = self.use(inst.lhs), self.use(inst.rhs), self.slot(inst)
+    def _compare(self, inst, a: str, b: str) -> str:
+        """The condition ``icmp``/``fcmp`` ``inst`` tests on ``a`` and ``b``."""
         pred = inst.predicate
+        if isinstance(inst, FCmp):
+            return _FCMP[pred].format(a=a, b=b)
         if isinstance(inst.lhs.type, PointerType):
             if pred not in ("eq", "ne"):
-                return _raiser("ordered pointer comparison unsupported")
-            same = _COMPARISONS[pred]
-
-            def pointer_icmp(f):
-                f[d] = 1 if same(_pointer_identity(f[a]), _pointer_identity(f[b])) else 0
-
-            return pointer_icmp
+                raise InterpreterError("ordered pointer comparison unsupported")
+            return f"_pid({a}) {_RELATIONS[pred]} _pid({b})"
         if pred in ("eq", "ne"):
-            cmp = _COMPARISONS[pred]
-        else:
-            cmp = _COMPARISONS[pred[1:]]
-            if pred[0] == "u":
-                mask = inst.lhs.type.max_unsigned
+            return f"{a} {_RELATIONS[pred]} {b}"
+        if pred[0] == "u":
+            mask = inst.lhs.type.max_unsigned
+            return f"({a} & {mask}) {_RELATIONS[pred[1:]]} ({b} & {mask})"
+        return f"{a} {_RELATIONS[pred[1:]]} {b}"
 
-                def unsigned_icmp(f):
-                    f[d] = 1 if cmp(f[a] & mask, f[b] & mask) else 0
+    def _cmp(self, inst) -> List[str]:
+        a, b, d = self.use(inst.lhs), self.use(inst.rhs), self.name(inst)
+        return [f"{d} = 1 if {self._compare(inst, a, b)} else 0"]
 
-                return unsigned_icmp
-
-        def signed_icmp(f):
-            f[d] = 1 if cmp(f[a], f[b]) else 0
-
-        return signed_icmp
-
-    def _fcmp(self, inst: FCmp) -> _Op:
-        a, b, d = self.use(inst.lhs), self.use(inst.rhs), self.slot(inst)
-        pred = inst.predicate
-        # (comparison of ordered operands, result when either is NaN)
-        if pred in ("false", "true", "ord", "uno"):
-            always = pred in ("true", "ord")
-            cmp, unordered = (lambda l, r: always), int(pred in ("true", "uno"))
-        else:
-            cmp, unordered = _COMPARISONS[pred[1:]], int(pred[0] == "u")
-        isnan = math.isnan
-
-        def fcmp(f):
-            l, r = f[a], f[b]
-            f[d] = unordered if isnan(l) or isnan(r) else 1 if cmp(l, r) else 0
-
-        return fcmp
-
-    def _alloca(self, inst: Alloca) -> _Op:
+    def _alloca(self, inst: Alloca) -> List[str]:
         count = None if inst.array_size is None else self.use(inst.array_size)
-        d = self.slot(inst)
+        d = self.name(inst)
         size, name = inst.allocated_type.byte_size(), inst.name or "alloca"
+        nbytes = str(size) if count is None else f"{size} * int({count})"
+        return [f"{d} = _P(_MB({nbytes}, {name!r}))"]
 
-        def alloca(f):
-            n = 1 if count is None else int(f[count])
-            f[d] = Pointer(MemoryBuffer(size * n, name))
-
-        return alloca
-
-    def _load(self, inst: Load) -> _Op:
-        p, d = self.use(inst.pointer), self.slot(inst)
-        ty = inst.type
+    def _load(self, inst: Load) -> List[str]:
+        root, offset, derived = self.address(inst.pointer)
+        d, ty = self.name(inst), inst.type
         layout = _scalar_layout(ty)
-        size, unpack_from = layout.size, layout.unpack_from
-        # Integers narrower than their storage (i1) wrap what memory holds.
-        wrap = ty.wrap if isinstance(ty, IntegerType) and ty.width != 8 * size else None
+        size = layout.size
+        read = f"_ld_{layout.format[1]}({root}_d, {offset})[0]"
+        if derived:
+            fault = f"{root}_b.check({offset}, {size})"
+            inside = f"0 <= {offset} <= {root}_l{size}"
+        else:
+            fault = f"_bad_access('load', {root}, {size})"
+            inside = f"{root}_d is not None and 0 <= {offset} <= {root}_l{size}"
+        lines = [f"{d} = {read} if {inside} else {fault}"]
+        if isinstance(ty, IntegerType) and ty.width != 8 * size:
+            # Integers narrower than their storage (i1) wrap what memory holds.
+            lines.append(f"{d} = {self.wrapped(d, ty)}")
+        return lines
 
-        def load(f):
-            ptr = f[p]
-            if not isinstance(ptr, Pointer):
-                raise InterpreterError(f"load through non-pointer {ptr!r}")
-            buf, off = ptr.buffer, ptr.offset
-            if off < 0 or off + size > len(buf.data):
-                buf.check(off, size)
-            f[d] = unpack_from(buf.data, off)[0]
-
-        if wrap is None:
-            return load
-
-        def narrow_load(f):
-            load(f)
-            f[d] = wrap(f[d])
-
-        return narrow_load
-
-    def _store(self, inst: Store) -> _Op:
-        p, v = self.use(inst.pointer), self.use(inst.value)
+    def _store(self, inst: Store) -> List[str]:
+        root, offset, derived = self.address(inst.pointer)
+        value = self.use(inst.value)
         ty = inst.value.type
         layout = _scalar_layout(ty)
-        size, pack_into = layout.size, layout.pack_into
+        size = layout.size
         if isinstance(ty, IntegerType):
-            mask, smax, modulus = _int_bounds(ty)
+            half = ty.max_signed + 1
+            value = f"((int({value}) + {half}) & {ty.max_unsigned}) - {half}"
+        write = f"_st_{layout.format[1]}({root}_d, {offset}, {value})"
+        if derived:
+            return [f"{write} if 0 <= {offset} <= {root}_l{size} else {root}_b.check({offset}, {size})"]
+        return [
+            f"{write} if {root}_d is not None and 0 <= {offset} <= {root}_l{size} "
+            f"else _bad_access('store', {root}, {size})"
+        ]
 
-            def stored(value):
-                value = int(value) & mask
-                return value - modulus if value > smax else value
-
-        else:
-            stored = float
-
-        def store(f):
-            ptr = f[p]
-            if not isinstance(ptr, Pointer):
-                raise InterpreterError(f"store through non-pointer {ptr!r}")
-            buf, off = ptr.buffer, ptr.offset
-            if off < 0 or off + size > len(buf.data):
-                buf.check(off, size)
-            pack_into(buf.data, off, stored(f[v]))
-
-        return store
-
-    def _gep(self, inst: GetElementPtr) -> _Op:
-        base = self.use(inst.pointer)
+    def _gep(self, inst: GetElementPtr) -> List[str]:
+        root, base, derived_base = self.address(inst.pointer)
         indices = inst.indices
-        index_slots = [self.use(i) for i in indices]
-        d = self.slot(inst)
-        # offset = constant + sum(index * stride) over the non-constant indices
+        names = [self.use(i) for i in indices]
+        d = self.name(inst)
+        # offset = base + constant + sum(index * stride) over the non-constant indices
         constant, terms = 0, []
         ty: Type = inst.source_type
-        for k, (index, slot) in enumerate(zip(indices, index_slots)):
+        for k, (index, name) in enumerate(zip(indices, names)):
             if k > 0:
                 if isinstance(ty, StructType):
                     if not isinstance(index, ConstantInt):
@@ -802,256 +927,315 @@ class _Decoder:
             if isinstance(index, ConstantInt):
                 constant += index.value * stride
             else:
-                terms.append((slot, stride))
+                terms.append(name if stride == 1 else f"{name} * {stride}")
+        offset = " + ".join([base] + ([str(constant)] if constant else []) + terms)
+        value = offset if id(inst) in self.derived else f"_P({root}_b, {offset})"
+        if derived_base:
+            return [f"{d} = {value}"]
+        return [f"{d} = {value} if {root}_d is not None else _not_pointer('gep', {root})"]
 
-        # One variant per count of non-constant indices, the common ones
-        # unrolled.
-        if len(terms) == 1:
-            ((i, si),) = terms
-
-            def gep(f):
-                ptr = f[base]
-                if not isinstance(ptr, Pointer):
-                    raise InterpreterError(f"gep through non-pointer {ptr!r}")
-                f[d] = Pointer(ptr.buffer, ptr.offset + constant + f[i] * si)
-
-        elif len(terms) == 2:
-            (i, si), (j, sj) = terms
-
-            def gep(f):
-                ptr = f[base]
-                if not isinstance(ptr, Pointer):
-                    raise InterpreterError(f"gep through non-pointer {ptr!r}")
-                f[d] = Pointer(ptr.buffer, ptr.offset + constant + f[i] * si + f[j] * sj)
-
-        else:
-
-            def gep(f):
-                ptr = f[base]
-                if not isinstance(ptr, Pointer):
-                    raise InterpreterError(f"gep through non-pointer {ptr!r}")
-                offset = constant + sum(f[i] * s for i, s in terms)
-                f[d] = Pointer(ptr.buffer, ptr.offset + offset)
-
-        return gep
-
-    def _cast(self, inst: Cast) -> _Op:
-        v, d = self.use(inst.value), self.slot(inst)
+    def _cast(self, inst: Cast) -> List[str]:
+        a, d = self.use(inst.value), self.name(inst)
         op, to = inst.opcode, inst.type
         if op == "bitcast":  # pointers only in our subset
-            return _move(v, d)
+            return [f"{d} = {a}"]
         if op == "inttoptr":
-            return _raiser("inttoptr has no meaning in the buffer memory model")
+            raise InterpreterError("inttoptr has no meaning in the buffer memory model")
         if isinstance(to, FloatType):
-            rounded = _ROUNDERS[to.kind]
             if op in ("fptrunc", "fpext"):
-                convert = float
+                expr = f"float({a})"
             elif op == "sitofp":
-                convert = lambda x: float(int(x))
+                expr = f"float(int({a}))"
             elif op == "uitofp":
-                src_mask = inst.value.type.max_unsigned
-                convert = lambda x: float(int(x) & src_mask)
+                expr = f"float(int({a}) & {inst.value.type.max_unsigned})"
             else:
                 raise InterpreterError(f"unhandled cast {op}")
-
-            def to_float(f):
-                f[d] = rounded(convert(f[v]))
-
-            return to_float
+            return self.rounded(d, expr, to.kind)
         if op in ("sext", "trunc"):
-            convert = int
+            expr = f"int({a})"
         elif op == "zext":
-            src_mask = inst.value.type.max_unsigned
-            convert = lambda x: int(x) & src_mask
+            expr = f"int({a}) & {inst.value.type.max_unsigned}"
         elif op in ("fptosi", "fptoui"):
-            unsigned = op == "fptoui"
-
-            def convert(x):
-                if not math.isfinite(x):
-                    # LLVM makes the result poison; fault instead of inventing one.
-                    raise InterpreterError(f"{op} of non-finite value {x!r}")
-                return max(0, int(x)) if unsigned else int(x)
-
+            expr = f"_fp_to_int({a}, {op!r})"
         elif op == "ptrtoint":
-            convert = lambda x: id(x.buffer) + x.offset if isinstance(x, Pointer) else 0
+            expr = f"_ptr_to_int({a})"
         else:
             raise InterpreterError(f"unhandled cast {op}")
-        mask, smax, modulus = _int_bounds(to)
+        return [f"{d} = {self.wrapped(expr, to)}"]
 
-        def to_integer(f):
-            x = convert(f[v]) & mask
-            f[d] = x - modulus if x > smax else x
-
-        return to_integer
-
-    def _select(self, inst: Select) -> _Op:
-        c, d = self.use(inst.condition), self.slot(inst)
+    def _select(self, inst: Select) -> List[str]:
+        c, d = self.use(inst.condition), self.name(inst)
         # Only the chosen arm is read, so only it may fault.
         arms = []
         for value in (inst.true_value, inst.false_value):
-            slot = self.slot(value)
-            arms.append((slot, None if self.defined(value, *self.site) else value))
-        chosen, other = arms
+            name = self.name(value)
+            root = self.derived.get(id(value))
+            if root is not None:
+                name = f"_P({self.split(root)}_b, {name})"
+            elif not self.defined(value, *self.site):
+                self.unset.add(name)
+                name = f"_checked({name}, {f'use of undefined value {value!r}'!r})"
+            arms.append(name)
+        return [f"{d} = {arms[0]} if {c} else {arms[1]}"]
 
-        def select(f):
-            slot, value = chosen if f[c] else other
-            if value is not None and f[slot] is _UNSET:
-                raise InterpreterError(f"use of undefined value {value!r}")
-            f[d] = f[slot]
-
-        return select
-
-    def _call_inst(self, inst: Call) -> _Op:
-        args = [self.use(a) for a in inst.args]
-        d = self.slot(inst)
+    def _call(self, inst: Call) -> List[str]:
+        args = ", ".join(self.use(a) for a in inst.args)
+        d = self.name(inst)
         callee = inst.callee
         if isinstance(callee, Function) and not callee.is_declaration:
+            # The callee reads and returns the running count.
+            return [
+                "interp.steps = steps",
+                f"{d} = interp._invoke({self.constant(callee)}, [{args}])",
+                "steps = interp.steps",
+            ]
+        return [f"{d} = _extern({callee.name!r}, [{args}], {self.constant(inst.type)})"]
 
-            def call(f):
-                interp = f[_INTERP]
-                f[d] = interp._call(interp._code(callee), [f[s] for s in args])
+    def _freeze(self, inst: Freeze) -> List[str]:
+        return [f"{self.name(inst)} = {self.use(inst.value)}"]
 
-            return call
-        name, ty = callee.name, inst.type
+    def _extract_value(self, inst: ExtractValue) -> List[str]:
+        a, d = self.use(inst.aggregate), self.name(inst)
+        return [f"{d} = {a}" + "".join(f"[{i}]" for i in inst.indices)]
 
-        def external(f):
-            f[d] = _extern(name, [f[s] for s in args], ty)
-
-        return external
-
-    def _freeze(self, inst: Freeze) -> _Op:
-        return _move(self.use(inst.value), self.slot(inst))
-
-    def _extract_value(self, inst: ExtractValue) -> _Op:
-        a, d = self.use(inst.aggregate), self.slot(inst)
-        path = inst.indices
-
-        def extract_value(f):
-            agg = f[a]
-            for i in path:
-                agg = agg[i]
-            f[d] = agg
-
-        return extract_value
-
-    def _insert_value(self, inst: InsertValue) -> _Op:
-        a, v, d = self.use(inst.aggregate), self.use(inst.value), self.slot(inst)
+    def _insert_value(self, inst: InsertValue) -> List[str]:
+        a, v, d = self.use(inst.aggregate), self.use(inst.value), self.name(inst)
         *path, last = inst.indices
+        # Aggregate constants live in the namespace, shared by every call:
+        # this copy before the write is what keeps them intact.  Nothing
+        # else writes into an aggregate.
+        target = d + "".join(f"[{i}]" for i in path)
+        return [f"{d} = _deep_copy({a}); {target}[{last}] = {v}"]
 
-        def insert_value(f):
-            # Aggregate constants sit in the frame template, shared by every
-            # frame and call: this copy before the write is what keeps them
-            # intact.  Nothing else writes into an aggregate.
-            agg = _deep_copy(f[a])
-            target = agg
-            for i in path:
-                target = target[i]
-            target[last] = f[v]
-            f[d] = agg
+    # -- blocks ---------------------------------------------------------------------
+    def line(self, depth: int, text: str, rewind: int = 0) -> None:
+        self.out.append((depth, text, rewind))
 
-        return insert_value
+    def block(self, bb: BasicBlock, depth: int, arm: Optional[int], inlined: int) -> None:
+        """Emit ``bb`` at ``depth`` inside dispatch arm ``arm`` (None before
+        the dispatch loop), ``inlined`` blocks deep in inline emission."""
+        first, end, term = self.shape(bb)
+        for phi in bb.instructions[:first]:
+            for text in self.split_lines(phi):
+                self.line(depth, text)
+        fold = self.foldable(bb, first, end, term)
+        runs: List[List[int]] = [[]]
+        for index in range(first, end + (term is not None)):
+            runs[-1].append(index)
+            if _calls_defined(bb.instructions[index]):
+                runs.append([])
+        for run in runs:
+            if not run:
+                continue
+            n = len(run)
+            self.line(depth, f"if steps + {n} > max_steps: interp._exhausted(_fn, {len(self.segments)}, locals())")
+            self.line(depth, f"steps += {n}")
+            self.segments.append((bb, run))
+            for j, index in enumerate(run):
+                if index == fold:
+                    continue
+                if index == end:
+                    self.terminator(bb, index, depth, arm, inlined, fold)
+                else:
+                    for text in self.emit(bb.instructions[index], bb, index):
+                        self.line(depth, text, n - j - 1)
+        if term is None:
+            self.line(depth, f"_raise({f'block %{bb.name} fell through'!r})")
 
-    # -- terminators ------------------------------------------------------------------
-    def _ret(self, inst: Return) -> _Op:
-        if inst.value is None:
-            return _return
-        v = self.use(inst.value)
+    def foldable(self, bb: BasicBlock, first: int, end: int, term) -> Optional[int]:
+        """Index of the compare whose only user is ``term``, a conditional
+        branch right after it: the branch tests the condition itself."""
+        if not isinstance(term, CondBranch) or end <= first or self.dominators is None:
+            return None
+        cmp = bb.instructions[end - 1]
+        if not isinstance(cmp, (ICmp, FCmp)) or term.condition is not cmp or cmp.num_uses != 1:
+            return None
+        if isinstance(cmp.lhs.type, PointerType):
+            return None
+        try:
+            self.name(cmp.lhs), self.name(cmp.rhs)
+        except InterpreterError:
+            return None
+        if self.defined(cmp.lhs, bb, end - 1) and self.defined(cmp.rhs, bb, end - 1):
+            return end - 1
+        return None
 
-        def ret(f):
-            f[_RESULT] = f[v]
+    def terminator(self, bb: BasicBlock, index: int, depth: int, arm, inlined: int, fold) -> None:
+        term = bb.instructions[index]
+        self.site = (bb, index)
+        self.checks = []
+        try:
+            if isinstance(term, Return):
+                value = None if term.value is None else self.use(term.value)
+            elif isinstance(term, CondBranch):
+                if fold is not None:
+                    cmp = bb.instructions[fold]
+                    self.site = (bb, fold)
+                    test = self._compare(cmp, self.name(cmp.lhs), self.name(cmp.rhs))
+                else:
+                    test = self.use(term.condition)
+            elif isinstance(term, Switch):
+                test = self.use(term.value)
+        except InterpreterError as exc:
+            for text in self.checks + [f"_raise({str(exc)!r})"]:
+                self.line(depth, text)
+            return
+        for text in self.checks:
+            self.line(depth, text)
+        if isinstance(term, Return):
+            self.line(depth, "interp.steps = steps")
+            self.line(depth, "return" if value is None else f"return {value}")
+        elif isinstance(term, Branch):
+            self.edge(bb, term.target, depth, arm, inlined)
+        elif isinstance(term, CondBranch):
+            self.line(depth, f"if {test}:")
+            if not self.edge(bb, term.true_target, depth + 1, arm, inlined):
+                self.line(depth + 1, "pass")
+            mark = len(self.out)
+            self.line(depth, "else:")
+            if not self.edge(bb, term.false_target, depth + 1, arm, inlined):
+                del self.out[mark:]
+        elif isinstance(term, Switch):
+            self.switch(bb, term, test, depth, arm, inlined)
+        else:  # Unreachable
+            message = f"reached 'unreachable' in @{self.fn.name}"
+            self.line(depth, f"_raise({message!r})")
 
-        return ret
+    def switch(self, bb: BasicBlock, term: Switch, value: str, depth: int, arm, inlined: int) -> None:
+        # The first matching case wins; everything else takes the default.
+        cases: Dict[object, int] = {}
+        targets = [term.default]
+        for const, target in term.cases:
+            if const.value not in cases:
+                cases[const.value] = len(targets)
+                targets.append(target)
+        self.line(depth, f"_s = {self.constant(cases)}.get({value}, 0)")
+        arms = []
+        outer = self.out
+        for target in targets:
+            self.out = []
+            if not self.edge(bb, target, 0, arm, inlined):
+                self.line(0, "pass")
+            arms.append(self.out)
+        self.out = outer
+        self.out += _dispatch("_s", arms, depth)
 
-    def _br(self, inst: Branch) -> _Op:
-        block, moves = self.edge(inst.target)
-        if moves is None:
-            return lambda f: block
+    def edge(self, pred: BasicBlock, target, depth: int, arm, inlined: int) -> bool:
+        """Emit the branch from ``pred`` to ``target``: its phi moves, then
+        the target inline or a jump to its arm.  False if that needs no
+        code (a jump back to the arm being run)."""
+        mark = len(self.out)
+        if not isinstance(target, BasicBlock):
+            self.line(depth, f"_raise({f'branch to non-block {target!r}'!r})")
+            return True
+        phis = target.phis()
+        if phis:
+            lines, ok = self.moves(pred, phis)
+            for text in lines:
+                self.line(depth, text)
+            if not ok:
+                return True
+        index = self.arm.get(id(target))
+        if index is None and inlined >= _MAX_INLINE:
+            index = self.arm[id(target)] = len(self.arms)
+            self.arms.append(target)
+        if index is None:
+            self.block(target, depth, arm, inlined + 1)
+        elif index != arm:
+            self.line(depth, f"B = {index}")
+        return len(self.out) > mark
 
-        def br(f):
-            moves(f)
-            return block
+    def moves(self, pred: BasicBlock, phis: List[Phi]) -> Tuple[List[str], bool]:
+        """Lines copying the incoming values into ``phis``, all read before
+        any is written; False if they always raise."""
+        end = len(pred.instructions)
+        dsts, srcs = [], []
+        self.checks = []
+        try:
+            for phi in phis:
+                incoming = phi.incoming_value_for(pred)
+                if incoming is None:
+                    missing = f"phi {phi.ref()} missing incoming for %{pred.name}"
+                    return self.checks + [f"_raise({missing!r})"], False
+                src = self.name(incoming)
+                root = self.derived.get(id(incoming))
+                if root is not None:
+                    src = f"_P({self.split(root)}_b, {src})"
+                elif not self.defined(incoming, pred, end):
+                    self.check(src, incoming)
+                srcs.append(src)
+                dsts.append(self.name(phi))
+        except InterpreterError as exc:
+            return [f"_raise({str(exc)!r})"], False
+        return self.checks + [f"{', '.join(dsts)} = {', '.join(srcs)}"], True
 
-        return br
+    # -- whole function -------------------------------------------------------------
+    def compile(self) -> _Code:
+        fn = self.fn
+        params = [self.name(a) for a in fn.arguments]
+        self.out = body = []
+        entry = self.arm.get(id(fn.entry))
+        if entry is None:
+            self.block(fn.entry, 1, None, 0)
+        else:
+            self.line(1, f"B = {entry}")
+        arms = []
+        while len(arms) < len(self.arms):  # inline emission may add arms
+            self.out = []
+            self.block(self.arms[len(arms)], 0, len(arms), 0)
+            arms.append(self.out)
+        self.out = []
+        pyname = "_" + re.sub(r"\W", "_", fn.name)
+        lines: List[_Line] = [
+            (0, f"def {pyname}({', '.join(['interp'] + params)}):", 0),
+            (1, "steps = interp.steps", 0),
+            (1, "max_steps = interp.max_steps", 0),
+        ]
+        unset = sorted(self.unset - set(params))
+        if unset:
+            lines.append((1, " = ".join(unset) + " = _UNSET", 0))
+        if self.rounds32:
+            lines.append((1, "_r32 = _f32_cell()", 0))
+        for arg in fn.arguments:
+            lines += [(1, text, 0) for text in self.split_lines(arg)]
+        lines += body
+        if arms:
+            lines.append((1, "while True:", 0))
+            lines += _dispatch("B", arms, 2)
+        source = "\n".join("    " * depth + text for depth, text, _ in lines)
+        rewinds = {number: r for number, (_, _, r) in enumerate(lines, 1) if r}
+        exec(compile(source, _SOURCE, "exec"), self.namespace)
+        # Popped, so the function and its namespace form no cycle.
+        return _Code(self.namespace.pop(pyname), self, rewinds)
 
-    def _cond_br(self, inst: CondBranch) -> _Op:
-        c = self.use(inst.condition)
-        taken, not_taken = self.edge(inst.true_target), self.edge(inst.false_target)
-        if taken[1] is None and not_taken[1] is None:
-            t, e = taken[0], not_taken[0]
-
-            def cond_br(f):
-                return t if f[c] else e
-
-            return cond_br
-
-        def cond_br_with_phis(f):
-            block, moves = taken if f[c] else not_taken
-            if moves is not None:
-                moves(f)
-            return block
-
-        return cond_br_with_phis
-
-    def _switch(self, inst: Switch) -> _Op:
-        v = self.use(inst.value)
-        default = self.edge(inst.default)
-        cases: Dict[int, tuple] = {}
-        for const, target in inst.cases:
-            if const.value not in cases:  # the first matching case wins
-                cases[const.value] = self.edge(target)
-
-        def switch(f):
-            block, moves = cases.get(f[v], default)
-            if moves is not None:
-                moves(f)
-            return block
-
-        return switch
-
-    def _unreachable(self, inst: Unreachable) -> _Op:
-        return _raiser(f"reached 'unreachable' in @{self.fn.name}")
+    def prefix(self, segment: int, fits: int, message: str) -> str:
+        """Source running the first ``fits`` instructions of ``segment``,
+        counting each, then raising ``message``; it runs on a copy of the
+        frame's locals."""
+        bb, run = self.segments[segment]
+        lines: List[str] = []
+        for index in run[:fits]:
+            lines.append("steps += 1")
+            lines += self.emit(bb.instructions[index], bb, index)
+        lines += ["steps += 1", f"_raise({message!r})"]
+        return "\n".join(lines)
 
 
-_DECODERS = {
-    BinaryOperator: _Decoder._binop,
-    ICmp: _Decoder._icmp,
-    FCmp: _Decoder._fcmp,
-    Alloca: _Decoder._alloca,
-    Load: _Decoder._load,
-    Store: _Decoder._store,
-    GetElementPtr: _Decoder._gep,
-    Cast: _Decoder._cast,
-    Select: _Decoder._select,
-    Call: _Decoder._call_inst,
-    Freeze: _Decoder._freeze,
-    ExtractValue: _Decoder._extract_value,
-    InsertValue: _Decoder._insert_value,
-    Return: _Decoder._ret,
-    Branch: _Decoder._br,
-    CondBranch: _Decoder._cond_br,
-    Switch: _Decoder._switch,
-    Unreachable: _Decoder._unreachable,
+_EMITTERS = {
+    BinaryOperator: _Emitter._binop,
+    ICmp: _Emitter._cmp,
+    FCmp: _Emitter._cmp,
+    Alloca: _Emitter._alloca,
+    Load: _Emitter._load,
+    Store: _Emitter._store,
+    GetElementPtr: _Emitter._gep,
+    Cast: _Emitter._cast,
+    Select: _Emitter._select,
+    Call: _Emitter._call,
+    Freeze: _Emitter._freeze,
+    ExtractValue: _Emitter._extract_value,
+    InsertValue: _Emitter._insert_value,
 }
-
-
-def _move(src: int, dst: int) -> _Op:
-    def move(f):
-        f[dst] = f[src]
-
-    return move
-
-
-def _parallel_copy(dsts: List[int], srcs: List[int]) -> _Op:
-    """Copy ``srcs`` into the consecutive slots ``dsts``, all read first."""
-    if len(dsts) == 1:
-        return _move(srcs[0], dsts[0])
-    read = operator.itemgetter(*srcs)
-    lo, hi = dsts[0], dsts[-1] + 1
-
-    def copy_slice(f):
-        f[lo:hi] = read(f)
-
-    return copy_slice
 
 
 class Interpreter:
@@ -1060,7 +1244,7 @@ class Interpreter:
         self.max_steps = max_steps
         self.steps = 0
         self.globals: Dict[str, Pointer] = {}
-        # Decoded functions.  They live here rather than on the Function, so
+        # Compiled functions.  They live here rather than on the Function, so
         # nothing needs invalidating, nothing outlives this interpreter and
         # pickled modules are unchanged; the module must not be edited
         # while an Interpreter runs it.
@@ -1132,60 +1316,58 @@ class Interpreter:
                 converted.append(Pointer(arg, 0))
             else:
                 converted.append(arg)
-        # A returned aggregate may be a template constant: hand out a copy.
-        return _deep_copy(self._call(self._code(fn), converted))
+        try:
+            result = self._invoke(fn, converted)
+        except Exception as exc:
+            self._rewind(exc.__traceback__)
+            raise
+        # A returned aggregate may be a namespace constant: hand out a copy.
+        return _deep_copy(result)
 
     # -- execution engine ----------------------------------------------------------
-    def _code(self, fn: Function) -> _Code:
+    def _invoke(self, fn: Function, args: Sequence) -> object:
+        """Call ``fn``, compiling it on its first call here."""
         code = self._decoded.get(fn)
         if code is None:
-            code = self._decoded[fn] = _Decoder(fn, self.globals).decode()
-        return code
-
-    def _call(self, code: _Code, args: Sequence) -> object:
-        frame = code.template[:]
-        frame[_INTERP] = self
-        for slot, (type, value) in enumerate(zip(code.params, args), _INTERP + 1):
-            frame[slot] = _coerce(value, type)
+            code = self._decoded[fn] = _Emitter(fn, self.globals).compile()
+        values = [_coerce(value, type) for value, type in zip(args, code.params)]
+        values += [_UNSET] * (len(code.params) - len(values))
         if code.entry_phis:
             raise InterpreterError(
-                f"phi in entry-reached block %{code.function.entry.name} "
+                f"phi in entry-reached block %{code.emitter.fn.entry.name} "
                 "with no predecessor"
             )
-        blocks = code.blocks
-        block = blocks[0]
-        while True:
-            n = block.steps
-            if block.counted or self.steps + n > self.max_steps:
-                self._run_counted(block, frame, code)
-            else:
-                self.steps += n
-                try:
-                    for op in block.ops:
-                        op(frame)
-                except Exception:
-                    # Count only the instructions that ran, the faulting one included.
-                    self.steps -= n - block.ops.index(op) - 1
-                    raise
-            index = block.term(frame)
-            if index is None:
-                return frame[_RESULT]
-            block = blocks[index]
+        return code.run(self, *values)
 
-    def _run_counted(self, block: _Block, frame: list, code: _Code) -> None:
-        for op in block.ops:
-            self._step(code)
-            op(frame)
-        if block.steps > len(block.ops):  # the terminator's step
-            self._step(code)
+    def _exhausted(self, fn: Function, segment: int, frame: dict) -> None:
+        """A straight-line run of ``fn`` does not fit the budget: run the
+        instructions that fit on a copy of ``frame``, then raise the budget
+        error (both from generated code, so a fault rewinds as usual)."""
+        code = self._decoded[fn]
+        fits = max(0, self.max_steps - frame["steps"])
+        message = (
+            f"step budget exceeded ({self.max_steps}); "
+            f"possible infinite loop in @{fn.name}"
+        )
+        source = code.emitter.prefix(segment, fits, message)
+        exec(compile(source, _SOURCE, "exec"), {**code.run.__globals__, **frame})
 
-    def _step(self, code: _Code) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise InterpreterError(
-                f"step budget exceeded ({self.max_steps}); "
-                f"possible infinite loop in @{code.function.name}"
-            )
+    def _rewind(self, tb) -> None:
+        """Set ``steps`` to the count at the faulting instruction: the
+        innermost generated frame's ``steps`` less the steps its line's run
+        counted after that instruction."""
+        frame = None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == _SOURCE:
+                frame, line = tb.tb_frame, tb.tb_lineno
+            tb = tb.tb_next
+        if frame is None:
+            return
+        code = self._decoded.get(frame.f_globals.get("_fn"))
+        rewind = 0
+        if code is not None and frame.f_code is code.run.__code__:
+            rewind = code.rewinds.get(line, 0)
+        self.steps = frame.f_locals["steps"] - rewind
 
 
 _DESCRIPTOR_FIELD = re.compile(

@@ -483,6 +483,35 @@ class TestIntrinsics:
         )
         assert Interpreter(m).run("f", [-5, 3]) == 3
 
+    @pytest.mark.parametrize("kind", ["umax", "umin"])
+    @pytest.mark.parametrize("width", [8, 32, 64])
+    def test_unsigned_min_max_agree_with_their_expansion(self, kind, width):
+        from repro.adaptor import IntrinsicLegalization
+        from repro.ir.transforms import PassManager
+
+        ty = irt.IntegerType(width)
+        half = 1 << (width - 1)
+
+        def build():
+            return _unary_fn(
+                lambda b, a: b.intrinsic(f"llvm.{kind}.i{width}", ty, [a[0], a[1]]),
+                param=ty, ret=ty, nparams=2,
+            )
+
+        called, expanded = build(), build()
+        manager = PassManager()
+        manager.add(IntrinsicLegalization())
+        manager.run(expanded)
+        signed, unsigned = (np.dtype(f"{c}{width // 8}") for c in "iu")
+        pick = np.maximum if kind == "umax" else np.minimum
+        pairs = [(-1, 5), (5, -1), (-half, half - 1), (-3, -7), (0, -1), (7, 3)]
+        for l, r in pairs:
+            got = Interpreter(called).run("f", [l, r])
+            assert got == Interpreter(expanded).run("f", [l, r]), (l, r)
+            lanes = np.array([l, r], dtype=signed).view(unsigned)
+            want = np.array([pick(lanes[0], lanes[1])], dtype=unsigned).view(signed)[0]
+            assert got == int(want), (l, r)
+
     def test_memcpy(self):
         m = Module("cp")
         fn = m.add_function("f", irt.function_type(irt.void, [irt.ptr, irt.ptr]), ["d", "s"])
@@ -683,3 +712,186 @@ class TestDecodedSemantics:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestGeneratedCode:
+    """What compiling functions to Python source adds: inline blocks, split
+    pointers, counted runs split at calls, and bounded source shapes."""
+
+    def test_fault_in_an_inlined_block_rewinds_to_it(self):
+        # %mid and %then each have one predecessor, so they run inline at
+        # their incoming edge; the second store in %then is out of bounds.
+        m = Module("t")
+        fn = m.add_function("f", irt.function_type(irt.void, [irt.ptr, irt.i1]), ["p", "c"])
+        entry, mid, then, else_ = (fn.add_block(n) for n in ("entry", "mid", "then", "else"))
+        p, c = fn.arguments
+        b = IRBuilder(entry)
+        b.br(mid)
+        b.position_at_end(mid)
+        b.cond_br(c, then, else_)
+        b.position_at_end(then)
+        b.store(b.i32_(7), b.gep(irt.i32, p, [b.i64_(1)]))
+        b.store(b.i32_(8), b.gep(irt.i32, p, [b.i64_(9)]))
+        b.ret()
+        b.position_at_end(else_)
+        b.ret()
+        buf = MemoryBuffer(8, "cell")
+        message, steps = _fault(m, [Pointer(buf), 1])
+        assert message == "out-of-bounds access to cell: offset 36 size 4 in buffer of 8 bytes"
+        assert steps == 1 + 1 + 4  # br, br, then the fourth of %then's five
+        assert list(numpy_from_buffer(buf, np.int32, (2,))) == [0, 7]
+
+    def test_budget_runs_out_after_a_call_in_the_same_block(self):
+        m = Module("t")
+        g = m.add_function("g", irt.function_type(irt.i32, []))
+        b = IRBuilder(g.add_block("entry"))
+        b.ret(b.add(b.i32_(1), b.i32_(2)))
+        fn = m.add_function("f", irt.function_type(irt.void, [irt.ptr]), ["p"])
+        b = IRBuilder(fn.add_block("entry"))
+        b.call(g, [])
+        for value in (1, 2, 3):
+            b.store(b.i32_(value), fn.arguments[0])
+        b.ret()
+        # The call (1), @g's add and ret (2) and the first store (1) fit.
+        buf = MemoryBuffer(4, "cell")
+        message, steps = _fault(m, [Pointer(buf)], max_steps=4)
+        assert message == "step budget exceeded (4); possible infinite loop in @f"
+        assert steps == 5
+        assert numpy_from_buffer(buf, np.int32, (1,))[0] == 1
+
+    @pytest.mark.parametrize(
+        "access,message",
+        [("gep", "gep through non-pointer 7"),
+         ("load", "load through non-pointer 7"),
+         ("store", "store through non-pointer 7")],
+    )
+    def test_non_pointer_argument_faults_only_where_dereferenced(self, access, message):
+        m = Module("t")
+        fn = m.add_function("f", irt.function_type(irt.i32, [irt.ptr, irt.i1]), ["p", "c"])
+        entry, use, skip = (fn.add_block(n) for n in ("entry", "use", "skip"))
+        p, c = fn.arguments
+        b = IRBuilder(entry)
+        b.cond_br(c, use, skip)
+        b.position_at_end(use)
+        if access == "gep":
+            b.ret(b.load(irt.i32, b.gep(irt.i32, p, [b.i64_(1)])))
+        elif access == "load":
+            b.ret(b.load(irt.i32, p))
+        else:
+            b.store(b.i32_(1), p)
+            b.ret(b.i32_(0))
+        b.position_at_end(skip)
+        b.ret(b.i32_(5))
+        assert Interpreter(m).run("f", [7, 0]) == 5
+        assert _fault(m, [7, 1]) == (message, 2)
+
+    def test_two_geps_to_one_element_compare_equal(self):
+        def build(b, a):
+            first = b.gep(irt.i32, a[0], [b.i64_(1)])
+            same = b.gep(irt.i32, a[0], [b.i64_(1)])
+            other = b.gep(irt.i32, a[0], [b.i64_(2)])
+            eq = b.zext(b.icmp("eq", first, same), irt.i32)
+            ne = b.zext(b.icmp("ne", first, other), irt.i32)
+            b.ret(b.add(b.mul(eq, b.i32_(10)), ne))
+
+        m = _one_block(build, [irt.ptr], irt.i32)
+        assert Interpreter(m).run("f", [MemoryBuffer(16)]) == 11
+
+    def test_escaped_gep_results_address_the_same_bytes(self):
+        # Element k of %p is written through a GEP result that was passed to
+        # a defined function (k=1), stored through and reloaded (k=2),
+        # carried through a phi (k=3 or 4) or picked by a select (k=0 or 5).
+        m = Module("t")
+        put = m.add_function("put", irt.function_type(irt.void, [irt.ptr, irt.i32]), ["q", "v"])
+        b = IRBuilder(put.add_block("entry"))
+        b.store(put.arguments[1], put.arguments[0])
+        b.ret()
+        fn = m.add_function("f", irt.function_type(irt.i32, [irt.ptr, irt.i1]), ["p", "c"])
+        p, c = fn.arguments
+        entry, left, right, join = (fn.add_block(n) for n in ("entry", "left", "right", "join"))
+        b = IRBuilder(entry)
+        at = [b.gep(irt.i32, p, [b.i64_(k)]) for k in range(6)]
+        b.call(put, [at[1], b.i32_(11)])
+        b.store(b.i32_(22), at[2])
+        again = b.load(irt.i32, b.gep(irt.i32, p, [b.i64_(2)]))
+        b.store(b.i32_(55), b.select(c, at[0], at[5]))
+        b.cond_br(c, left, right)
+        for block in (left, right):
+            b.position_at_end(block)
+            b.br(join)
+        b.position_at_end(join)
+        carried = b.phi(irt.ptr, "carried")
+        carried.add_incoming(at[3], left)
+        carried.add_incoming(at[4], right)
+        b.store(b.i32_(33), carried)
+        b.ret(b.add(again, b.load(irt.i32, at[1])))
+        for flag, cells in ((1, [55, 11, 22, 33, 0, 0]), (0, [0, 11, 22, 0, 33, 55])):
+            buf = MemoryBuffer(24, "cells")
+            assert Interpreter(m).run("f", [Pointer(buf), flag]) == 33
+            assert list(numpy_from_buffer(buf, np.int32, (6,))) == cells
+
+    @staticmethod
+    def _factorial():
+        m = Module("t")
+        fn = m.add_function("fact", irt.function_type(irt.i32, [irt.i32]), ["n"])
+        entry, base, rec = (fn.add_block(n) for n in ("entry", "base", "rec"))
+        (n,) = fn.arguments
+        b = IRBuilder(entry)
+        b.cond_br(b.icmp("sle", n, b.i32_(1)), base, rec)
+        b.position_at_end(base)
+        b.ret(b.i32_(1))
+        b.position_at_end(rec)
+        b.ret(b.mul(n, b.call(fn, [b.sub(n, b.i32_(1))])))
+        return m
+
+    def test_recursive_function_counts_every_step(self):
+        # One at a time: a recursive call runs icmp, br, sub, call, mul and
+        # ret (6), the base call icmp, br and ret (3).
+        interp = Interpreter(self._factorial())
+        assert interp.run("fact", [5]) == 120
+        assert interp.steps == 4 * 6 + 3
+        interp = Interpreter(self._factorial(), max_steps=14)
+        with pytest.raises(InterpreterError, match=r"\(14\); possible infinite loop in @fact"):
+            interp.run("fact", [5])
+        assert interp.steps == 15  # the third call's sub did not run
+
+    def test_five_thousand_block_function_compiles(self):
+        # Each block is branched to twice, so each gets a dispatch arm.
+        m = Module("t")
+        fn = m.add_function("f", irt.function_type(irt.i32, [irt.i1]), ["c"])
+        b = IRBuilder(fn.add_block("entry"))
+        blocks = [fn.add_block(f"b{k}") for k in range(5000)]
+        done = fn.add_block("done")
+        b.br(blocks[0])
+        total = b.i32_(0)
+        for k, block in enumerate(blocks):
+            b.position_at_end(block)
+            total = b.add(total, b.i32_(1))
+            after = blocks[k + 1] if k + 1 < len(blocks) else done
+            b.cond_br(fn.arguments[0], after, after)
+        b.position_at_end(done)
+        b.ret(total)
+        interp = Interpreter(m)
+        assert interp.run("f", [1]) == 5000
+        assert interp.steps == 1 + 2 * 5000 + 1
+
+    def test_deep_chain_of_single_predecessor_blocks_compiles(self):
+        # Each link has one predecessor, so each would nest inside the last.
+        m = Module("t")
+        fn = m.add_function("f", irt.function_type(irt.i32, [irt.i32]), ["x"])
+        b = IRBuilder(fn.add_block("entry"))
+        links = [fn.add_block(f"l{k}") for k in range(150)]
+        bail, done = fn.add_block("bail"), fn.add_block("done")
+        b.br(links[0])
+        value = fn.arguments[0]
+        for k, link in enumerate(links):
+            b.position_at_end(link)
+            value = b.add(value, b.i32_(1))
+            after = links[k + 1] if k + 1 < len(links) else done
+            b.cond_br(b.icmp("slt", value, b.i32_(1000)), after, bail)
+        b.position_at_end(bail)
+        b.ret(b.i32_(-1))
+        b.position_at_end(done)
+        b.ret(value)
+        assert Interpreter(m).run("f", [0]) == 150
+        assert Interpreter(m).run("f", [900]) == -1
