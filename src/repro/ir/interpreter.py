@@ -370,10 +370,12 @@ _SOURCE = "<ir>"
 #: once per ``elif`` and fails near 3,000 of them, so longer dispatches nest.
 _CHAIN = 64
 
-#: Most blocks inlined one inside the next before the next gets a dispatch
-#: arm of its own.  Bounds the source's nesting (CPython stops near 100
-#: indentation levels) and the emitter's recursion.
+#: Most blocks inlined one inside the next, and deepest indentation an
+#: inlined block starts at, before the next gets a dispatch arm of its own.
+#: They bound the emitter's recursion and the source's nesting (CPython
+#: stops near 100 indentation levels).
 _MAX_INLINE = 32
+_MAX_DEPTH = 40
 
 # Python spelling of the integer and float comparisons.
 _RELATIONS = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}
@@ -420,6 +422,19 @@ def _not_pointer(op: str, value):
     raise InterpreterError(f"{op} through non-pointer {value!r}")
 
 
+class _NonPointer:
+    """The offset of a root that is not a pointer: a GEP from it adds to
+    this, which raises the GEP's fault, so GEPs need no check of their own."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __add__(self, other):
+        _not_pointer("gep", self.value)
+
+
 def _bad_access(op: str, value, size: int):
     """The fault of a load or store straight through ``value``: it is not a
     pointer, or the access is out of bounds."""
@@ -452,7 +467,7 @@ _RUNTIME = {
     "_MB": MemoryBuffer,
     "_raise": _raise,
     "_checked": _checked,
-    "_not_pointer": _not_pointer,
+    "_NonPointer": _NonPointer,
     "_bad_access": _bad_access,
     "_fp_to_int": _fp_to_int,
     "_ptr_to_int": _ptr_to_int,
@@ -497,6 +512,15 @@ def _dispatch(selector: str, arms: List[List[_Line]], depth: int, base: int = 0)
     lines.append((depth, "else:", 0))
     lines += _dispatch(selector, arms[mid:], depth + 1, base + mid)
     return lines
+
+
+def _nesting(count: int, base: int = 0) -> int:
+    """How many levels deeper than :func:`_dispatch`'s ``depth`` its
+    deepest arm body of ``count`` arms sits."""
+    if count <= _CHAIN:
+        return 1
+    mid = _CHAIN if base == 0 else count // 2
+    return 1 + max(_nesting(mid, base), _nesting(count - mid, base + mid))
 
 
 class _Code:
@@ -751,9 +775,9 @@ class _Emitter:
 
     def address(self, value: Value) -> Tuple[str, str, bool]:
         """``(root, offset, derived)`` of a pointer operand: ``root`` names
-        the split (``<root>_b``, ``_d``, ``_l<size>``, and ``<root>`` the
-        object), ``offset`` the offset expression.  A derived offset needs
-        no non-pointer check: its GEP made it."""
+        the split (``<root>_b``, ``_o``, ``_d``, ``_l<size>``, and ``<root>``
+        the object), ``offset`` the offset expression.  A derived offset
+        needs no non-pointer check: its GEP made it."""
         root = self.derived.get(id(value))
         if root is not None:
             return self.split(root), self.name(value), True
@@ -778,12 +802,12 @@ class _Emitter:
                 for size in self.roots.get(id(root), ()):
                     self.namespace[f"{prefix}_l{size}"] = len(data) - size
             else:
-                self.namespace[prefix + "_d"] = None
+                self.namespace.update({prefix + "_d": None, prefix + "_o": _NonPointer(obj)})
         return prefix
 
     def split_lines(self, value: Value) -> List[str]:
         """Caches root ``value``'s buffer, offset, data and limits, or marks
-        it as no pointer (``_d`` None)."""
+        it as no pointer (``_d`` None, ``_o`` a :class:`_NonPointer`)."""
         sizes = self.roots.get(id(value))
         if sizes is None or id(value) in self.constants:
             return []
@@ -792,17 +816,20 @@ class _Emitter:
         return [
             f"if isinstance({n}, _P): {n}_b = {n}.buffer; {n}_o = {n}.offset; "
             f"{n}_d = {n}_b.data{limits}",
-            f"else: {n}_d = None",
+            f"else: {n}_d = None; {n}_o = _NonPointer({n})",
         ]
 
+    def wrapper(self, ty: IntegerType) -> str:
+        """The namespace name of ``ty.wrap``."""
+        name = f"_wrap{ty.width}"
+        self.namespace.setdefault(name, ty.wrap)
+        return name
+
     def wrapped(self, expr: str, ty: IntegerType) -> str:
-        """``expr`` wrapped to ``ty`` (``IntegerType.wrap``); the common
-        in-range case costs two comparisons."""
-        half, mask = ty.max_signed + 1, ty.max_unsigned
-        return (
-            f"_t if {-half} <= (_t := {expr}) <= {half - 1} "
-            f"else ((_t + {half}) & {mask}) - {half}"
-        )
+        """``expr`` wrapped to ``ty``; the common in-range case costs two
+        comparisons."""
+        half = ty.max_signed + 1
+        return f"_t if {-half} <= (_t := {expr}) <= {half - 1} else {self.wrapper(ty)}(_t)"
 
     def rounded(self, d: str, expr: str, kind: str) -> List[str]:
         """``d = expr`` rounded to the float ``kind``."""
@@ -869,40 +896,36 @@ class _Emitter:
         nbytes = str(size) if count is None else f"{size} * int({count})"
         return [f"{d} = _P(_MB({nbytes}, {name!r}))"]
 
+    @staticmethod
+    def guarded(op: str, access: str, address: Tuple[str, str, bool], size: int) -> str:
+        """``access`` if it lies inside its buffer, else the fault of ``op``."""
+        root, offset, derived = address
+        if derived:
+            inside = f"0 <= {offset} <= {root}_l{size}"
+            return f"{access} if {inside} else {root}_b.check({offset}, {size})"
+        inside = f"{root}_d is not None and 0 <= {offset} <= {root}_l{size}"
+        return f"{access} if {inside} else _bad_access({op!r}, {root}, {size})"
+
     def _load(self, inst: Load) -> List[str]:
-        root, offset, derived = self.address(inst.pointer)
+        root, offset, derived = address = self.address(inst.pointer)
         d, ty = self.name(inst), inst.type
         layout = _scalar_layout(ty)
-        size = layout.size
         read = f"_ld_{layout.format[1]}({root}_d, {offset})[0]"
-        if derived:
-            fault = f"{root}_b.check({offset}, {size})"
-            inside = f"0 <= {offset} <= {root}_l{size}"
-        else:
-            fault = f"_bad_access('load', {root}, {size})"
-            inside = f"{root}_d is not None and 0 <= {offset} <= {root}_l{size}"
-        lines = [f"{d} = {read} if {inside} else {fault}"]
-        if isinstance(ty, IntegerType) and ty.width != 8 * size:
+        lines = [f"{d} = {self.guarded('load', read, address, layout.size)}"]
+        if isinstance(ty, IntegerType) and ty.width != 8 * layout.size:
             # Integers narrower than their storage (i1) wrap what memory holds.
             lines.append(f"{d} = {self.wrapped(d, ty)}")
         return lines
 
     def _store(self, inst: Store) -> List[str]:
-        root, offset, derived = self.address(inst.pointer)
+        root, offset, _ = address = self.address(inst.pointer)
         value = self.use(inst.value)
         ty = inst.value.type
         layout = _scalar_layout(ty)
-        size = layout.size
         if isinstance(ty, IntegerType):
-            half = ty.max_signed + 1
-            value = f"((int({value}) + {half}) & {ty.max_unsigned}) - {half}"
+            value = f"{self.wrapper(ty)}(int({value}))"
         write = f"_st_{layout.format[1]}({root}_d, {offset}, {value})"
-        if derived:
-            return [f"{write} if 0 <= {offset} <= {root}_l{size} else {root}_b.check({offset}, {size})"]
-        return [
-            f"{write} if {root}_d is not None and 0 <= {offset} <= {root}_l{size} "
-            f"else _bad_access('store', {root}, {size})"
-        ]
+        return [self.guarded("store", write, address, layout.size)]
 
     def _gep(self, inst: GetElementPtr) -> List[str]:
         root, base, derived_base = self.address(inst.pointer)
@@ -928,11 +951,12 @@ class _Emitter:
                 constant += index.value * stride
             else:
                 terms.append(name if stride == 1 else f"{name} * {stride}")
-        offset = " + ".join([base] + ([str(constant)] if constant else []) + terms)
-        value = offset if id(inst) in self.derived else f"_P({root}_b, {offset})"
-        if derived_base:
-            return [f"{d} = {value}"]
-        return [f"{d} = {value} if {root}_d is not None else _not_pointer('gep', {root})"]
+        # A root base's offset always takes an addition: a non-pointer's raises.
+        added = [str(constant)] if constant or not (terms or derived_base) else []
+        offset = " + ".join([base] + added + terms)
+        if id(inst) in self.derived:
+            return [f"{d} = {offset}"]
+        return [f"{d} = {offset}; {d} = _P({root}_b, {d})"]
 
     def _cast(self, inst: Cast) -> List[str]:
         a, d = self.use(inst.value), self.name(inst)
@@ -1028,8 +1052,11 @@ class _Emitter:
             if not run:
                 continue
             n = len(run)
-            self.line(depth, f"if steps + {n} > max_steps: interp._exhausted(_fn, {len(self.segments)}, locals())")
-            self.line(depth, f"steps += {n}")
+            self.line(
+                depth,
+                f"if (steps := steps + {n}) > max_steps: "
+                f"interp._exhausted(_fn, {len(self.segments)}, locals())",
+            )
             self.segments.append((bb, run))
             for j, index in enumerate(run):
                 if index == fold:
@@ -1110,13 +1137,15 @@ class _Emitter:
                 cases[const.value] = len(targets)
                 targets.append(target)
         self.line(depth, f"_s = {self.constant(cases)}.get({value}, 0)")
+        # Arms are emitted as deep as the deepest will sit, then re-based.
+        inner = depth + _nesting(len(targets))
         arms = []
         outer = self.out
         for target in targets:
             self.out = []
-            if not self.edge(bb, target, 0, arm, inlined):
-                self.line(0, "pass")
-            arms.append(self.out)
+            if not self.edge(bb, target, inner, arm, inlined):
+                self.line(inner, "pass")
+            arms.append([(d - inner, text, rewind) for d, text, rewind in self.out])
         self.out = outer
         self.out += _dispatch("_s", arms, depth)
 
@@ -1136,7 +1165,7 @@ class _Emitter:
             if not ok:
                 return True
         index = self.arm.get(id(target))
-        if index is None and inlined >= _MAX_INLINE:
+        if index is None and (inlined >= _MAX_INLINE or depth >= _MAX_DEPTH):
             index = self.arm[id(target)] = len(self.arms)
             self.arms.append(target)
         if index is None:
@@ -1185,7 +1214,7 @@ class _Emitter:
             self.block(self.arms[len(arms)], 0, len(arms), 0)
             arms.append(self.out)
         self.out = []
-        pyname = "_" + re.sub(r"\W", "_", fn.name)
+        pyname = "ir_" + re.sub(r"\W", "_", fn.name)
         lines: List[_Line] = [
             (0, f"def {pyname}({', '.join(['interp'] + params)}):", 0),
             (1, "steps = interp.steps", 0),
@@ -1344,13 +1373,14 @@ class Interpreter:
         instructions that fit on a copy of ``frame``, then raise the budget
         error (both from generated code, so a fault rewinds as usual)."""
         code = self._decoded[fn]
-        fits = max(0, self.max_steps - frame["steps"])
+        start = frame["steps"] - len(code.emitter.segments[segment][1])
+        fits = max(0, self.max_steps - start)
         message = (
             f"step budget exceeded ({self.max_steps}); "
             f"possible infinite loop in @{fn.name}"
         )
         source = code.emitter.prefix(segment, fits, message)
-        exec(compile(source, _SOURCE, "exec"), {**code.run.__globals__, **frame})
+        exec(compile(source, _SOURCE, "exec"), {**code.run.__globals__, **frame, "steps": start})
 
     def _rewind(self, tb) -> None:
         """Set ``steps`` to the count at the faulting instruction: the

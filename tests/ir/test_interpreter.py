@@ -895,3 +895,24 @@ class TestGeneratedCode:
         b.ret(value)
         assert Interpreter(m).run("f", [0]) == 150
         assert Interpreter(m).run("f", [900]) == -1
+
+    def test_deep_chain_of_wide_switches_compiles(self):
+        # Each link's last case is its successor's one incoming edge, and
+        # that arm of a 1,000-case switch nests several levels deep.
+        m = Module("t")
+        fn = m.add_function("f", irt.function_type(irt.i32, [irt.i32]), ["x"])
+        b = IRBuilder(fn.add_block("entry"))
+        links = [fn.add_block(f"l{k}") for k in range(40)]
+        bail, done = fn.add_block("bail"), fn.add_block("done")
+        b.br(links[0])
+        for k, link in enumerate(links):
+            b.position_at_end(link)
+            after = links[k + 1] if k + 1 < len(links) else done
+            cases = [(ConstantInt(irt.i32, c), bail) for c in range(999)]
+            b.switch(fn.arguments[0], bail, cases + [(ConstantInt(irt.i32, 999), after)])
+        b.position_at_end(bail)
+        b.ret(b.i32_(-1))
+        b.position_at_end(done)
+        b.ret(b.i32_(40))
+        assert Interpreter(m).run("f", [999]) == 40
+        assert Interpreter(m).run("f", [5]) == -1
