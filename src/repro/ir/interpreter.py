@@ -477,10 +477,7 @@ _RUNTIME = {
     "_frem": _frem,
     "_deep_copy": _deep_copy,
     "_f32_cell": _f32_cell,
-    "_copysign": math.copysign,
-    "_inf": math.inf,
-    "_pack_e": _FLOAT_LAYOUTS["half"].pack,
-    "_unpack_e": _FLOAT_LAYOUTS["half"].unpack,
+    "_round_half": _ROUNDERS["half"],
 }
 for _layout in (*_INT_LAYOUTS.values(), *_FLOAT_LAYOUTS.values()):
     _RUNTIME["_ld_" + _layout.format[1]] = _layout.unpack_from
@@ -754,13 +751,12 @@ class _Emitter:
             return value
         return _UNSET
 
-    def check(self, name: str, value: Value) -> str:
-        """``name``, after a check that it is set joins the current checks."""
+    def check(self, name: str, value: Value) -> None:
+        """Add a check that local ``name`` is set to the current checks."""
         self.unset.add(name)
         self.checks.append(
             f"if {name} is _UNSET: _raise({f'use of undefined value {value!r}'!r})"
         )
-        return name
 
     def use(self, value: Value) -> str:
         """An operand the current instruction reads, as an object: a derived
@@ -838,10 +834,7 @@ class _Emitter:
         if kind == "float":
             self.rounds32 = True
             return [f"_r32[0] = {expr}; {d} = _r32[0]"]
-        return [
-            f"try: {d} = _unpack_e(_pack_e({expr}))[0]",
-            f"except OverflowError: {d} = _copysign(_inf, {expr})",
-        ]
+        return [f"{d} = _round_half({expr})"]
 
     # -- instructions ---------------------------------------------------------------
     def emit(self, inst, block: BasicBlock, index: int) -> List[str]:
